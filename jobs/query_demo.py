@@ -15,6 +15,7 @@ from _common import get_spark, print_table
 def main() -> None:
     from repro.core.compress_job import compress_dataset
     from repro.core.config import DATASET_CONFIGS
+    from repro.core.decoder import decode_instance_partial, decode_timestamps
     from repro.query.queries import UTCQEngine
     from repro.query.query_job import range_query_job
     from repro.query.stiu import index_dataframes
@@ -34,7 +35,7 @@ def main() -> None:
 
     engine = UTCQEngine.from_compressed_df(compressed, net, cfg)
     entry = engine.entries[0]
-    tss = engine._timestamps(entry)
+    tss = decode_timestamps(entry.ct)
     t_mid = (tss[0] + tss[-1]) // 2
 
     t0 = time.perf_counter()
@@ -42,7 +43,6 @@ def main() -> None:
     wh_ms = (time.perf_counter() - t0) * 1e3
 
     # a mapped location actually traversed by trajectory 0's reference
-    from repro.core.decoder import decode_instance_partial
     from repro.core.model import ted_to_instance
 
     ted = decode_instance_partial(entry.ct, cfg, net.max_out_degree, 0)

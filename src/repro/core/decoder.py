@@ -7,6 +7,7 @@ start from StIU bit offsets and decode only what a query needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.bits import (
     BitReader,
@@ -33,76 +34,112 @@ class DecodedTrajectory:
     ref_of: dict[int, int] = field(default_factory=dict)
 
     def timestamps(self) -> list[int]:
-        out = [self.t0]
-        for d in self.deltas:
-            out.append(out[-1] + self.ts + d)
-        return out
+        return timestamps_from_anchor(self.t0, self.ts, self.deltas)
+
+
+class _Widths(NamedTuple):
+    """Field widths of one blob: from the header and the decoding config."""
+
+    m: int
+    be: int
+    bd: int
+    bp: int
+    bm: int
+
+
+def _read_header(r: BitReader) -> tuple[int, int, int]:
+    """The three header counters: (m, n_inst, n_refs)."""
+    return decode_delta(r), decode_delta(r), decode_delta(r)
+
+
+def _widths(m: int, cfg: UTCQConfig, max_out_degree: int) -> _Widths:
+    return _Widths(
+        m=m,
+        be=bits_needed(max_out_degree + 1),
+        bd=bits_for_bound(cfg.eta_d),
+        bp=bits_for_bound(cfg.eta_p),
+        bm=bits_needed(m),
+    )
+
+
+def _read_times(r: BitReader, m: int) -> tuple[int, list[int]]:
+    """t0 and the m−1 SIAR deltas that follow the header."""
+    t0 = r.read_bits(T0_BITS)
+    return t0, [decode_delta(r) for _ in range(m - 1)]
+
+
+def decode_timestamps(ct: CompressedTrajectory) -> list[int]:
+    """The full time sequence, without touching any instance."""
+    r = BitReader(ct.blob, ct.nbits)
+    m, _, _ = _read_header(r)
+    t0, deltas = _read_times(r, m)
+    return timestamps_from_anchor(t0, ct.ts, deltas)
 
 
 def decode_trajectory(
     ct: CompressedTrajectory, cfg: UTCQConfig, max_out_degree: int
 ) -> DecodedTrajectory:
     """Sequentially parse a whole blob."""
-    be = bits_needed(max_out_degree + 1)
-    bd = bits_for_bound(cfg.eta_d)
-    bp = bits_for_bound(cfg.eta_p)
     r = BitReader(ct.blob, ct.nbits)
-
-    m = decode_delta(r)
-    n_inst = decode_delta(r)
-    n_refs = decode_delta(r)
+    m, n_inst, n_refs = _read_header(r)
+    w = _widths(m, cfg, max_out_degree)
     bi = bits_needed(n_inst)
-    bm = bits_needed(m)
-
-    t0 = r.read_bits(T0_BITS)
-    deltas = [decode_delta(r) for _ in range(m - 1)]
+    t0, deltas = _read_times(r, m)
 
     teds: dict[int, TedTuple] = {}
     ref_of: dict[int, int] = {}
     for _ in range(n_refs):
-        ref_id, ref = _decode_reference(r, m, bi, be, bd, bp)
-        teds[ref_id] = ref
+        ref_id = r.read_bits(bi)
+        ref = teds[ref_id] = _read_reference(r, w, need_d=True)
         ref_of[ref_id] = ref_id
         n_nonrefs = decode_delta(r)
         for _ in range(n_nonrefs):
-            nref_id, nref = _decode_nonref(r, ref, m, bi, be, bd, bp, bm)
-            teds[nref_id] = nref
+            nref_id = r.read_bits(bi)
+            teds[nref_id] = _read_nonref(r, ref, w, need_d=True)
             ref_of[nref_id] = ref_id
     if len(teds) != n_inst:
         raise ValueError("blob truncated: instance count mismatch")
     return DecodedTrajectory(ct.traj_id, t0, deltas, ct.ts, teds, ref_of)
 
 
-def _decode_reference(
-    r: BitReader, m: int, bi: int, be: int, bd: int, bp: int
-) -> tuple[int, TedTuple]:
-    inst_id = r.read_bits(bi)
-    prob = dequantize(r.read_bits(bp), bp)
+# ---- section readers: shared by full and partial decoding ---------------
+# Each starts at an instance's p field and leaves ``r`` after its last
+# section; with ``need_d=False`` it stops before the D section (``d`` comes
+# back empty), and :func:`_read_d` decodes that section later.
+
+def _read_reference(r: BitReader, w: _Widths, need_d: bool) -> TedTuple:
+    prob = dequantize(r.read_bits(w.bp), w.bp)
     sv = r.read_bits(32)
     ne = decode_delta(r)
+    be = w.be
     entries = [r.read_bits(be) for _ in range(ne)]
     trimmed = r.read_bools(max(0, ne - 2))
     tflag = [1] + trimmed + [1] if ne >= 2 else [1] * ne
-    d = [dequantize(r.read_bits(bd), bd) for _ in range(m)]
-    return inst_id, TedTuple(sv, entries, tflag, d, prob)
+    d = _read_d(r, None, w) if need_d else []
+    return TedTuple(sv, entries, tflag, d, prob)
 
 
-def _decode_nonref(
-    r: BitReader, ref: TedTuple, m: int, bi: int, be: int, bd: int, bp: int, bm: int
-) -> tuple[int, TedTuple]:
-    inst_id = r.read_bits(bi)
-    prob = dequantize(r.read_bits(bp), bp)
-
-    entries = apply_e(ref.entries, read_e_factors(r, len(ref.entries), be))
-
+def _read_nonref(
+    r: BitReader, ref: TedTuple, w: _Widths, need_d: bool
+) -> TedTuple:
+    prob = dequantize(r.read_bits(w.bp), w.bp)
+    entries = apply_e(ref.entries, read_e_factors(r, len(ref.entries), w.be))
     ref_trim = ref.trimmed_tflag()
     t_factors = read_tflag_factors(r, len(ref_trim))
-    trimmed = apply_tflag(ref_trim, t_factors)
+    # Two E entries leave an empty trimmed T′, coded as zero factors; zero
+    # factors otherwise mean "same T′ as the reference".
+    trimmed = [] if len(entries) == 2 else apply_tflag(ref_trim, t_factors)
     tflag = [1] + trimmed + [1]
+    d = _read_d(r, ref, w) if need_d else []
+    return TedTuple(ref.sv, entries, tflag, d, prob)
 
-    diffs = read_d_diffs(r, bm, bd)
-    d = apply_d(ref.d, diffs)
-    return inst_id, TedTuple(ref.sv, entries, tflag, d, prob)
+
+def _read_d(r: BitReader, ref: TedTuple | None, w: _Widths) -> list[float]:
+    """D of a reference (``ref`` None) or ComD against ``ref``."""
+    bd = w.bd
+    if ref is None:
+        return [dequantize(r.read_bits(bd), bd) for _ in range(w.m)]
+    return apply_d(ref.d, read_d_diffs(r, w.bm, bd))
 
 
 def read_e_factors(r: BitReader, ref_len: int, be: int) -> list[Factor]:
@@ -160,7 +197,7 @@ def decode_instance_partial(
 ) -> TedTuple:
     """Decode ONE instance by seeking its recorded section offsets —
     references directly, non-references through their reference only (no
-    other group is touched).  ``cache`` memoizes references across calls
+    other group is touched).  ``cache`` memoizes instances across calls
     within one query.
 
     With ``need_d=False`` the D section is NOT decompressed (``d`` comes
@@ -173,56 +210,27 @@ def decode_instance_partial(
     cached = cache.get(inst_id)
     if cached is not None and (cached.d or not need_d):
         return cached
-    be = bits_needed(max_out_degree + 1)
-    bd = bits_for_bound(cfg.eta_d)
-    bp = bits_for_bound(cfg.eta_p)
-    m = blob_m(ct)
-    bm = bits_needed(m)
+    w = _widths(blob_m(ct), cfg, max_out_degree)
+    ref_id = ct.ref_of[inst_id]
+    ref = None
+    if ref_id != inst_id:
+        ref = decode_instance_partial(
+            ct, cfg, max_out_degree, ref_id, cache, need_d=need_d
+        )
     off = ct.inst_offsets[inst_id]
     r = BitReader(ct.blob, ct.nbits)
-    if off["kind"] == "ref":
-        if cached is not None:  # upgrade: decode only D
-            r.seek(off["d_start"])
-            d = [dequantize(r.read_bits(bd), bd) for _ in range(m)]
-            ted = TedTuple(cached.sv, cached.entries, cached.tflag, d, cached.prob)
-        else:
-            r.seek(off["e_start"] - bp)  # the bp probability bits precede E
-            prob = dequantize(r.read_bits(bp), bp)
-            sv = r.read_bits(32)
-            ne = decode_delta(r)
-            entries = [r.read_bits(be) for _ in range(ne)]
-            trimmed = r.read_bools(max(0, ne - 2))
-            tflag = [1] + trimmed + [1] if ne >= 2 else [1] * ne
-            d = (
-                [dequantize(r.read_bits(bd), bd) for _ in range(m)]
-                if need_d
-                else []
-            )
-            ted = TedTuple(sv, entries, tflag, d, prob)
+    if cached is not None:  # upgrade: decode only the D section
+        r.seek(off["d_start"])
+        d = _read_d(r, ref, w)
+        ted = TedTuple(cached.sv, cached.entries, cached.tflag, d, cached.prob)
     else:
-        ref = decode_instance_partial(
-            ct, cfg, max_out_degree, ct.ref_of[inst_id], cache, need_d=need_d
-        )
-        if cached is not None:  # upgrade: decode only ComD
-            r.seek(off["comd_start"])
-            d = apply_d(ref.d, read_d_diffs(r, bm, bd))
-            ted = TedTuple(cached.sv, cached.entries, cached.tflag, d, cached.prob)
+        r.seek(off["start"])
+        if ref is None:
+            ted = _read_reference(r, w, need_d)
         else:
-            r.seek(off["come_start"] - bp)
-            prob = dequantize(r.read_bits(bp), bp)
-            entries = apply_e(ref.entries, read_e_factors(r, len(ref.entries), be))
-            ref_trim = ref.trimmed_tflag()
-            trimmed = apply_tflag(ref_trim, read_tflag_factors(r, len(ref_trim)))
-            tflag = [1] + trimmed + [1]
-            if need_d:
-                r.seek(off["comd_start"])
-                d = apply_d(ref.d, read_d_diffs(r, bm, bd))
-            else:
-                d = []
-            ted = TedTuple(ref.sv, entries, tflag, d, prob)
+            ted = _read_nonref(r, ref, w, need_d)
     cache[inst_id] = ted
     return ted
-
 
 
 def decode_times_from(

@@ -6,23 +6,25 @@ blob is self-describing (decodable sequentially) and the encoder returns
 per-component bit counts (for Table 8 accounting) plus the bit offsets that
 the StIU index stores for partial decompression.
 
-Blob layout (MSB-first):
+Blob layout (MSB-first; ⟨n⟩ is one improved Exp-Golomb code):
 
-    m:16  n_inst:8  n_refs:8
-    t0:17  ⟨improved Exp-Golomb deltas⟩ × (m−1)
+    ⟨m⟩  ⟨n_inst⟩  ⟨n_refs⟩
+    t0:17  ⟨SIAR delta⟩ × (m−1)
     repeat n_refs ×:
-      inst_id:8  p:bp  sv:32  |E|:16  E: |E|×be  T′: |E|−2  D: m×bd
-      n_nonrefs:8
-      repeat ×:
-        inst_id:8  p:bp
-        ComE:  H:8  factors⟨S:bs [L:bs] [M:be]⟩ (case-B: S=|E_ref| then M;
+      inst_id:bi  p:bp  sv:32  ⟨|E|⟩  E: |E|×be  T′: |E|−2  D: m×bd
+      ⟨n_nonrefs⟩
+      repeat n_nonrefs ×:
+        inst_id:bi  p:bp
+        ComE:  ⟨H−1⟩  factors⟨S:bs [L:bs] [M:be]⟩ (case-B: S=|E_ref| then M;
                last factor: 1 flag bit for M presence)
-        ComT′: H:8  factors⟨S:bt L:bt flag:1 [M:1]⟩
-        ComD:  K:8  pairs⟨pos:bm rd:bd⟩
+        ComT′: ⟨H⟩  factors⟨S:bt L:bt flag:1 [M:1]⟩
+        ComD:  ⟨K⟩  pairs⟨pos:bm rd:bd⟩
 
-where bp = ⌈log₂ 1/η_p⌉, bd = ⌈log₂ 1/η_D⌉, be = ⌈log₂ (o+1)⌉ (entries
-include the extra-point 0s), bs = ⌈log₂ (|E_ref|+1)⌉, bt = ⌈log₂
-(|T′_ref|+1)⌉, bm = ⌈log₂ m⌉.
+where bi = ⌈log₂ n_inst⌉, bp = ⌈log₂ 1/η_p⌉, bd = ⌈log₂ 1/η_D⌉, be =
+⌈log₂ (o+1)⌉ (entries include the extra-point 0s), bs = ⌈log₂ (|E_ref|+1)⌉,
+bt = ⌈log₂ (|T′_ref|+1)⌉, bm = ⌈log₂ m⌉.  Each instance records two offsets
+for partial decompression: ``start`` (its p field, where the section readers
+begin) and ``d_start`` (its D or ComD section).
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from repro.bits import (
     BitWriter,
     bits_for_bound,
     bits_needed,
+    dequantize,
     encode_delta,
     quantize,
 )
@@ -63,7 +66,7 @@ class CompressedTrajectory:
     inst_offsets: dict[int, dict[str, object]] = field(default_factory=dict)
     #: instance id → reference instance id (== itself for references)
     ref_of: dict[int, int] = field(default_factory=dict)
-    #: instance id → probability (quantized; for index p_total/p_max)
+    #: instance id → probability, quantized as the blob stores it
     probs: dict[int, float] = field(default_factory=dict)
 
     @property
@@ -142,7 +145,7 @@ def encode_trajectory(
         ref = teds[r]
         _encode_reference(w, ref, r, bi, be, bd, bp, comp, inst_offsets)
         ref_of[r] = r
-        probs[r] = ref.prob
+        probs[r] = dequantize(quantize(ref.prob, bp), bp)
         orig["E"] += 32 * (1 + len(ref.entries))
         orig["Tp"] += len(ref.tflag)
         orig["D"] += 64 * m
@@ -156,7 +159,7 @@ def encode_trajectory(
             nref = teds[v]
             _encode_nonref(w, ref, nref, v, bi, be, bd, bp, bm, comp, inst_offsets)
             ref_of[v] = r
-            probs[v] = nref.prob
+            probs[v] = dequantize(quantize(nref.prob, bp), bp)
             orig["E"] += 32 * (1 + len(nref.entries))
             orig["Tp"] += len(nref.tflag)
             orig["D"] += 64 * m
@@ -192,11 +195,10 @@ def _encode_reference(
         raise ValueError("edge sequence too long for blob format")
     w.write_bits(inst_id, bi)
     comp["meta"] += bi
+    off: dict[str, object] = {"kind": "ref", "start": len(w)}
     w.write_bits(quantize(ref.prob, bp), bp)
     comp["p"] += bp
 
-    off: dict[str, object] = {"kind": "ref"}
-    off["e_start"] = len(w)
     w.write_bits(ref.sv, 32)
     lstart = len(w)
     encode_delta(w, ne)  # |E| length header is structure
@@ -205,7 +207,6 @@ def _encode_reference(
         w.write_bits(no, be)
     comp["E"] += 32 + be * ne
 
-    off["tflag_start"] = len(w)
     trimmed = ref.trimmed_tflag()
     w.write_bools(trimmed)
     comp["Tp"] += len(trimmed)
@@ -232,16 +233,14 @@ def _encode_nonref(
 ) -> None:
     w.write_bits(inst_id, bi)
     comp["meta"] += bi
+    off: dict[str, object] = {"kind": "nonref", "start": len(w)}
     w.write_bits(quantize(nref.prob, bp), bp)
     comp["p"] += bp
-
-    off: dict[str, object] = {"kind": "nonref"}
 
     # ComE — (S, L, M) factors; the count is Exp-Golomb coded (H−1, so the
     # common near-identical single-factor case costs 1 bit).
     e_factors = factorize_e(ref.entries, nref.entries)
     bs = bits_needed(len(ref.entries) + 1)
-    off["come_start"] = len(w)
     cstart = len(w)
     encode_delta(w, len(e_factors) - 1)
     comp["meta"] += len(w) - cstart  # factor counts are structure, not E
@@ -277,7 +276,6 @@ def _encode_nonref(
     ref_trim = ref.trimmed_tflag()
     t_factors = factorize_tflag(ref_trim, nref.trimmed_tflag())
     bt = bits_needed(len(ref_trim) + 1)
-    off["comtp_start"] = len(w)
     cstart = len(w)
     encode_delta(w, len(t_factors))  # ∅ (identical T′) costs one bit
     comp["meta"] += len(w) - cstart
@@ -300,7 +298,7 @@ def _encode_nonref(
         for i, (a, b) in enumerate(zip(ref.d, nref.d))
         if quantize(a, bd) != quantize(b, bd)
     ]
-    off["comd_start"] = len(w)
+    off["d_start"] = len(w)
     cstart = len(w)
     encode_delta(w, len(diffs))
     comp["meta"] += len(w) - cstart

@@ -1,9 +1,9 @@
 """UTCQ probabilistic query processing over compressed trajectories (§5.3–5.4).
 
-The :class:`UTCQEngine` holds the StIU index (collected once from the index
-DataFrames) plus the compressed blobs, and answers probabilistic where /
-when / range queries with index filtering, Lemma 1–4 pruning, and partial
-decompression (per-instance section seeks; SIAR deltas decoded from the
+The :class:`UTCQEngine` holds the StIU index (loaded once from the
+compressed rows' typed ``tindex``/``sindex`` columns) plus the compressed
+blobs, and answers probabilistic where / when / range queries with index
+filtering, Lemma 1–4 pruning, and partial decompression (per-instance section seeks; SIAR deltas decoded from the
 temporal tuple's ``t_pos``).  A Spark-SQL range-query job lives in
 ``repro.query.query_job`` and shares the refinement kernel here.
 
@@ -17,27 +17,13 @@ from dataclasses import dataclass, field
 
 from repro.bits import BitReader, decode_delta
 from repro.core.config import UTCQConfig
-from repro.core.decoder import blob_m, decode_instance_partial
-from repro.core.encoder import CompressedTrajectory, T0_BITS
+from repro.core.decoder import blob_m, decode_instance_partial, decode_timestamps
+from repro.core.encoder import CompressedTrajectory
 from repro.core.model import TedTuple, ted_to_instance
 from repro.query.reference import PathGeometry, _time_at
+from repro.query.stiu import path_structure
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid import Rect, SpatialGrid
-
-
-def _structure(net: RoadNetwork, ted: TedTuple) -> tuple[list[int], list[int]]:
-    """(path vertices, point→path-edge indices) from E and T′ alone —
-    no relative distances needed."""
-    verts = [ted.sv]
-    pt_edges: list[int] = []
-    edge_j = -1
-    for no, flag in zip(ted.entries, ted.tflag):
-        if no > 0:
-            verts.append(net.out_edge(verts[-1], no))
-            edge_j += 1
-        if flag:
-            pt_edges.append(edge_j)
-    return verts, pt_edges
 
 
 @dataclass
@@ -66,16 +52,6 @@ class UTCQEngine:
         self.max_edge_len = max(net.lengths.values()) if net.lengths else 0.0
         for e in entries.values():
             e.temporal.sort(key=lambda t: t["t_start"])
-        from repro.bits import bits_for_bound, dequantize, quantize
-
-        bp = bits_for_bound(cfg.eta_p)
-        self._qprobs: dict[int, dict[int, float]] = {
-            tid: {
-                i: dequantize(quantize(p, bp), bp)
-                for i, p in e.ct.probs.items()
-            }
-            for tid, e in entries.items()
-        }
         # Inverted spatial index: region → compact candidate rows
         # (traj_id, inst_id, t_enter, t_exit) — the in-memory image of
         # filtering the sindex DataFrame by region.  Reference tuples with
@@ -95,20 +71,14 @@ class UTCQEngine:
     def from_compressed_df(
         cls, compressed_df, net: RoadNetwork, cfg: UTCQConfig
     ) -> "UTCQEngine":
-        """Collect the compressed rows + their index tuples once."""
-        import json
-
-        from repro.core.compress_job import ct_from_row, network_grid
+        """Load the compressed rows + their index tuples once."""
+        from repro.core import compress_job
 
         entries: dict[int, TrajIndexEntry] = {}
-        for row in compressed_df.collect():
-            ct = ct_from_row(row)
-            entries[ct.traj_id] = TrajIndexEntry(
-                ct,
-                json.loads(row.tindex_json),
-                json.loads(row.sindex_json),
-            )
-        return cls(net, cfg, network_grid(net, cfg.grid_n), entries)
+        for row in compress_job.collect_rows(compressed_df):
+            ct = compress_job.ct_from_row(row)
+            entries[ct.traj_id] = TrajIndexEntry(ct, row.tindex, row.sindex)
+        return cls(net, cfg, compress_job.network_grid(net, cfg.grid_n), entries)
 
     @classmethod
     def from_trajectories(
@@ -172,19 +142,6 @@ class UTCQEngine:
             tk = tk1
         return None  # t beyond the last timestamp
 
-    def _timestamps(self, entry: TrajIndexEntry) -> list[int]:
-        """Full time sequence (used by the refinement kernels)."""
-        ct = entry.ct
-        r = BitReader(ct.blob, ct.nbits)
-        m = decode_delta(r)
-        decode_delta(r)  # n_inst
-        decode_delta(r)  # n_refs
-        t0 = r.read_bits(T0_BITS)
-        out = [t0]
-        for _ in range(m - 1):
-            out.append(out[-1] + ct.ts + decode_delta(r))
-        return out
-
     def _decode(
         self, entry: TrajIndexEntry, inst_id: int, cache: dict[int, TedTuple]
     ):
@@ -192,10 +149,6 @@ class UTCQEngine:
             entry.ct, self.cfg, self.net.max_out_degree, inst_id, cache
         )
         return ted_to_instance(self.net, ted)
-
-    def _prob(self, entry: TrajIndexEntry, inst_id: int) -> float:
-        """Quantized instance probability (what a decoder would see)."""
-        return self._qprobs[entry.ct.traj_id][inst_id]
 
     # -- probabilistic where query (Definition 10) -------------------------
     def where(self, traj_id: int, t: int, alpha: float) -> list[tuple]:
@@ -209,7 +162,7 @@ class UTCQEngine:
         cache: dict[int, TedTuple] = {}
         out = []
         for inst_id in sorted(entry.ct.probs):
-            if self._prob(entry, inst_id) < alpha:
+            if entry.ct.probs[inst_id] < alpha:
                 continue
             inst = self._decode(entry, inst_id, cache)
             geo = PathGeometry.of(self.net, inst)
@@ -252,11 +205,11 @@ class UTCQEngine:
                     candidates.add(s["inst_id"])
             elif s["ref_id"] not in pruned_refs:
                 candidates.add(s["inst_id"])
-        tss = self._timestamps(entry)
+        tss = decode_timestamps(entry.ct)
         cache: dict[int, TedTuple] = {}
         out = []
         for inst_id in sorted(candidates):
-            if self._prob(entry, inst_id) < alpha:
+            if entry.ct.probs[inst_id] < alpha:
                 continue
             inst = self._decode(entry, inst_id, cache)
             geo = PathGeometry.of(self.net, inst)
@@ -284,19 +237,10 @@ class UTCQEngine:
     def range_candidates(
         self, rect: Rect, tq: int, alpha: float
     ) -> dict[int, list[int]]:
-        """Index filtering + Lemma 4: candidate instance ids per trajectory.
-
-        Cells are expanded by the maximum edge length so an instance whose
-        current edge dips into ``rect`` without a vertex inside is never
-        missed (conservative superset; refinement is exact).
-        """
-        expanded = Rect(
-            rect.x0 - self.max_edge_len,
-            rect.y0 - self.max_edge_len,
-            rect.x1 + self.max_edge_len,
-            rect.y1 + self.max_edge_len,
-        )
-        cells = self.grid.cells_overlapping(expanded)
+        """Index filtering + Lemma 4: candidate instance ids per trajectory
+        (a conservative superset over :meth:`SpatialGrid.cells_near`;
+        refinement is exact)."""
+        cells = self.grid.cells_near(rect, self.max_edge_len)
         per_traj: dict[int, set[int]] = {}
         for cell in cells:
             for traj_id, inst_id, t_enter, t_exit in self.by_region.get(cell, ()):
@@ -306,8 +250,8 @@ class UTCQEngine:
         for traj_id, cands in per_traj.items():
             # Lemma 4 (retotal = expanded cell union ⊇ RE): prune when even
             # the candidate superset's probability mass cannot reach α.
-            entry = self.entries[traj_id]
-            if sum(self._prob(entry, i) for i in cands) < alpha:
+            probs = self.entries[traj_id].ct.probs
+            if sum(probs[i] for i in cands) < alpha:
                 continue
             out[traj_id] = sorted(cands)
         return out
@@ -335,7 +279,7 @@ class UTCQEngine:
                 entry, inst_id, cache, rect, tq, k, tk, tk1, m, use_lemma2
             )
             if overlap:
-                mass += self._prob(entry, inst_id)
+                mass += entry.ct.probs[inst_id]
                 if mass >= alpha:  # Lemma 3 early accept
                     return True
         return mass >= alpha
@@ -362,7 +306,7 @@ class UTCQEngine:
                 entry.ct, self.cfg, self.net.max_out_degree, inst_id, cache,
                 need_d=False,
             )
-            verts, pt_edges = _structure(self.net, ted)
+            verts, pt_edges = path_structure(self.net, ted)
             e0 = pt_edges[k]
             e1 = pt_edges[min(k + 1, m - 1)]
             poly = [self.net.coords[v] for v in verts[e0 : e1 + 2]]

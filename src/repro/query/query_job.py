@@ -1,13 +1,13 @@
 """Probabilistic range query as a distributed DataFrame job.
 
 Index filtering and the Lemma 4 probability-mass pruning run in Spark SQL
-over the StIU index DataFrames; only the surviving trajectories' blobs are
-shipped into an ``applyInPandas`` refinement kernel (Lemma 2/3 + exact
-interpolation via the same code path as the driver-side engine).
+over the StIU spatial index DataFrame and the compressed rows' typed
+``insts`` column (the quantized probabilities the engine sums); only the
+surviving trajectories' rows are shipped into an ``applyInPandas``
+refinement kernel (Lemma 2/3 + exact interpolation via the same code path
+as the driver-side engine, reading the row's typed ``tindex``).
 """
 from __future__ import annotations
-
-import json
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -33,11 +33,7 @@ def range_query_job(
     """range(Tu, RE, t_q, α) with Spark-SQL index filtering (Definition 12)."""
     grid = network_grid(net, cfg.grid_n)
     max_edge = max(net.lengths.values()) if net.lengths else 0.0
-    expanded = Rect(
-        rect.x0 - max_edge, rect.y0 - max_edge,
-        rect.x1 + max_edge, rect.y1 + max_edge,
-    )
-    cells = grid.cells_overlapping(expanded)
+    cells = grid.cells_near(rect, max_edge)
 
     # Index filtering: candidate (traj, instance) pairs.
     cand = (
@@ -51,26 +47,23 @@ def range_query_job(
     # Lemma 4 in SQL: join instance probabilities (from the compressed
     # rows) and drop trajectories whose candidate mass cannot reach α.
     probs = compressed_df.select(
-        "traj_id",
-        F.explode(
-            F.from_json("probs_json", "map<string,double>")
-        ).alias("inst_key", "p"),
-    ).withColumn("inst_id", F.col("inst_key").cast("int"))
+        "traj_id", F.inline("insts")
+    ).select("traj_id", "inst_id", "prob")
     survivors = (
         cand.join(probs, on=["traj_id", "inst_id"], how="inner")
         .groupBy("traj_id")
         .agg(
-            F.sum("p").alias("mass"),
+            F.sum("prob").alias("mass"),
             F.collect_list("inst_id").alias("inst_ids"),
         )
         .filter(F.col("mass") >= alpha)
         .select("traj_id", "inst_ids")
     )
 
-    # Refinement kernel on surviving blobs only.
+    # Refinement kernel on surviving rows only; it reads no spatial tuples.
     bc_net = spark.sparkContext.broadcast(net)
     to_refine = survivors.join(
-        compressed_df, on="traj_id", how="inner"
+        compressed_df.drop("sindex"), on="traj_id", how="inner"
     )
 
     def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -79,7 +72,7 @@ def range_query_job(
         out = []
         for row in pdf.itertuples():
             ct = ct_from_row(row)
-            entry = TrajIndexEntry(ct, json.loads(row.tindex_json), [])
+            entry = TrajIndexEntry(ct, list(row.tindex), [])
             eng = UTCQEngine(network, cfg, g, {ct.traj_id: entry})
             ok = eng.refine_range(
                 ct.traj_id, [int(i) for i in row.inst_ids], rect, tq, alpha

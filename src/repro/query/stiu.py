@@ -1,7 +1,9 @@
 """StIU — Spatio-temporal Information based Uncertain Trajectory Index (§5.2).
 
 Tuples are produced per trajectory inside the compression kernel (the paper
-builds the index during compression) and exploded into two DataFrames by
+builds the index during compression), travel in the compressed row's typed
+``tindex``/``sindex`` array columns (:data:`TEMPORAL_TUPLE_SCHEMA`,
+:data:`SPATIAL_TUPLE_SCHEMA`) and are exploded into two DataFrames by
 :func:`index_dataframes`:
 
 * temporal: ``(traj_id, interval_id, t_start, t_no, t_pos)`` — earliest
@@ -19,7 +21,6 @@ never drops a true candidate.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 
 from repro.bits import bits_for_bound
@@ -41,6 +42,19 @@ def path_vertices(net: RoadNetwork, sv: int, entries: list[int]) -> list[int]:
         if no > 0:
             verts.append(net.out_edge(verts[-1], no))
     return verts
+
+
+def path_structure(net: RoadNetwork, ted: TedTuple) -> tuple[list[int], list[int]]:
+    """(path vertices, path-edge index of each sample point) from SV, E and
+    T′ alone — no relative distances needed."""
+    pt_edges: list[int] = []
+    edge_j = -1
+    for no, flag in zip(ted.entries, ted.tflag):
+        if no > 0:
+            edge_j += 1
+        if flag:
+            pt_edges.append(edge_j)
+    return path_vertices(net, ted.sv, ted.entries), pt_edges
 
 
 def visits_of(
@@ -118,19 +132,10 @@ def build_traj_tuples(
     # ---- per-instance geometry ------------------------------------------
     info: dict[int, dict] = {}
     for i, ted in teds.items():
-        verts = path_vertices(net, ted.sv, ted.entries)
-        eidx = entry_index_of_edges(ted.entries)
-        # point → path-edge index from the flag string
-        pt_edges = []
-        edge_j = -1
-        for no, flag in zip(ted.entries, ted.tflag):
-            if no > 0:
-                edge_j += 1
-            if flag:
-                pt_edges.append(edge_j)
+        verts, pt_edges = path_structure(net, ted)
         info[i] = {
             "verts": verts,
-            "entry_idx": eidx,
+            "entry_idx": entry_index_of_edges(ted.entries),
             "pt_edges": pt_edges,
             "visits": visits_of(net, grid, verts),
             "gamma": gamma_naive(ted.tflag),
@@ -155,8 +160,9 @@ def build_traj_tuples(
             group_regions |= {reg for reg, _, _ in info[i]["visits"]}
         for region in sorted(group_regions):
             omega_members = [i for i in members if i in region_members.get(region, {})]
-            p_total = sum(ct.probs[i] for i in omega_members)
-            nonref_ps = [ct.probs[i] for i in omega_members if i != r]
+            # From the unquantized p; ``ct.probs`` holds the quantized ones.
+            p_total = sum(teds[i].prob for i in omega_members)
+            nonref_ps = [teds[i].prob for i in omega_members if i != r]
             p_max = max(nonref_ps) if nonref_ps else 0.0
             windows = []
             for i in omega_members:
@@ -246,10 +252,6 @@ def _srow(
     }
 
 
-def tuples_to_json(temporal: list[dict], spatial: list[dict]) -> tuple[str, str]:
-    return json.dumps(temporal), json.dumps(spatial)
-
-
 # ---- Spark-level index construction -------------------------------------
 
 TEMPORAL_TUPLE_SCHEMA = (
@@ -263,24 +265,12 @@ SPATIAL_TUPLE_SCHEMA = (
 
 
 def index_dataframes(compressed_df):
-    """Explode the per-trajectory JSON tuple columns of a compressed
-    DataFrame into the two StIU index DataFrames (pure Spark SQL)."""
+    """Explode the per-trajectory ``tindex``/``sindex`` columns of a
+    compressed DataFrame into the two StIU index DataFrames."""
     from pyspark.sql import functions as F
 
-    tindex = (
-        compressed_df.select(
-            "traj_id",
-            F.explode(F.from_json("tindex_json", TEMPORAL_TUPLE_SCHEMA)).alias("t"),
-        )
-        .select("traj_id", "t.*")
-    )
-    sindex = (
-        compressed_df.select(
-            "traj_id",
-            F.explode(F.from_json("sindex_json", SPATIAL_TUPLE_SCHEMA)).alias("s"),
-        )
-        .select("traj_id", "s.*")
-    )
+    tindex = compressed_df.select("traj_id", F.inline("tindex"))
+    sindex = compressed_df.select("traj_id", F.inline("sindex"))
     return tindex, sindex
 
 

@@ -102,6 +102,16 @@ class SpatialGrid:
             for cx in range(cx0, cx1 + 1)
         ]
 
+    def cells_near(self, re: Rect, margin: float) -> list[int]:
+        """All cells intersecting ``re`` grown by ``margin`` on every side.
+
+        Range queries pass the longest edge length, so an instance whose
+        current edge dips into ``re`` without a vertex inside is never
+        missed."""
+        return self.cells_overlapping(
+            Rect(re.x0 - margin, re.y0 - margin, re.x1 + margin, re.y1 + margin)
+        )
+
     def rect_of_cells(self, cells: list[int]) -> Rect:
         """Bounding rectangle of a cell set — ``re_total`` for Lemma 4."""
         rects = [self.cell_rect(c) for c in cells]

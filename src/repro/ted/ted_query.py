@@ -134,13 +134,7 @@ class TEDBaselineEngine:
         return when_query_ref(self.net, traj, edge, rd, alpha)
 
     def range(self, rect: Rect, tq: int, alpha: float) -> list[int]:
-        expanded = Rect(
-            rect.x0 - self.max_edge_len,
-            rect.y0 - self.max_edge_len,
-            rect.x1 + self.max_edge_len,
-            rect.y1 + self.max_edge_len,
-        )
-        cells = self.grid.cells_overlapping(expanded)
+        cells = self.grid.cells_near(rect, self.max_edge_len)
         cands: set[int] = set()
         for c in cells:
             cands |= self.region_index.get(c, set())

@@ -11,6 +11,7 @@ from repro.core.config import DATASET_CONFIGS
 from repro.core.decoder import decode_trajectory
 from repro.core.model import instance_to_ted
 from repro.oracle import assert_equivalent
+from repro.query.queries import UTCQEngine
 from repro.query.stiu import index_dataframes
 from repro.roadnet import grid_network
 from repro.trajgen import DATASET_PROFILES, generate_dataset
@@ -88,6 +89,57 @@ class TestLossless:
                 for a, b in zip(dec.teds[i].d, expect.d):
                     assert abs(a - b) <= CFG.eta_d
                 assert abs(dec.teds[i].prob - inst.prob) <= CFG.eta_p
+
+
+class TestTypedRow:
+    def test_only_blob_is_binary_and_no_string_holds_serialized_data(
+        self, compressed
+    ):
+        from pyspark.sql.types import ArrayType, BinaryType, StringType, StructType
+
+        def leaves(dtype, name):
+            if isinstance(dtype, ArrayType):
+                return leaves(dtype.elementType, name)
+            if isinstance(dtype, StructType):
+                return [
+                    leaf
+                    for f in dtype.fields
+                    for leaf in leaves(f.dataType, f"{name}.{f.name}")
+                ]
+            return [(name, dtype)]
+
+        fields = [
+            leaf for f in compressed.schema.fields for leaf in leaves(f.dataType, f.name)
+        ]
+        assert [n for n, t in fields if isinstance(t, BinaryType)] == ["blob"]
+        assert [n for n, t in fields if isinstance(t, StringType)] == ["sindex.kind"]
+        _, sindex = index_dataframes(compressed)
+        kinds = {r.kind for r in sindex.select("kind").distinct().collect()}
+        assert kinds == {"ref", "nonref"}
+
+    def test_row_probs_equal_decoded_probs(self, compressed, net):
+        for row in compressed.collect():
+            ct = ct_from_row(row)
+            dec = decode_trajectory(ct, CFG, net.max_out_degree)
+            assert ct.probs == {i: t.prob for i, t in dec.teds.items()}
+
+    def test_engine_from_rows_matches_driver_side_engine(
+        self, compressed, net, trajs
+    ):
+        got = UTCQEngine.from_compressed_df(compressed, net, CFG).entries
+        want = UTCQEngine.from_trajectories(net, CFG, trajs).entries
+        assert sorted(got) == sorted(want)
+        for tid, w in want.items():
+            g = got[tid]
+            assert (g.ct.blob, g.ct.nbits) == (w.ct.blob, w.ct.nbits)
+            assert g.ct.ref_of == w.ct.ref_of
+            assert g.ct.probs == w.ct.probs
+            assert g.ct.inst_offsets == {
+                i: {"start": o["start"], "d_start": o["d_start"]}
+                for i, o in w.ct.inst_offsets.items()
+            }
+            assert g.temporal == w.temporal
+            assert g.spatial == w.spatial
 
 
 class TestAggregationOracle:

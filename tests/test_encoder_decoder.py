@@ -3,14 +3,16 @@ import pytest
 
 from repro.core.config import UTCQConfig
 from repro.core.decoder import (
+    decode_instance_partial,
     decode_ref_d_value,
     decode_times_from,
     decode_trajectory,
     timestamps_from_anchor,
 )
-from repro.core.encoder import compress_trajectory
-from repro.core.model import instance_to_ted
-from repro.examples.fig2 import fig2_network, fig2_trajectory
+from repro.core.encoder import compress_trajectory, encode_trajectory
+from repro.core.model import Instance, UncertainTrajectory, instance_to_ted
+from repro.core.refselect import ReferenceAssignment
+from repro.examples.fig2 import V1, V2, V3, V4, fig2_network, fig2_trajectory
 
 CFG = UTCQConfig(n_pivots=1, eta_d=1 / 128, eta_p=1 / 512)
 
@@ -157,3 +159,27 @@ class TestEdgeCases:
         assert ct1.ref_of[1] == 1
         dec = decode_trajectory(ct1, CFG, net.max_out_degree)
         assert dec.teds[1].sv == v9
+
+    def test_two_entry_nonref_keeps_empty_tflag(self, net):
+        # A non-reference with two E entries has an empty trimmed T′, coded
+        # as zero ComT′ factors — the same code as "T′ of the reference".
+        ref = Instance(0.6, [(V1, V2), (V2, V3), (V3, V4)], [0, 2], [0.5, 0.25])
+        two = Instance(0.4, [(V1, V2), (V2, V3)], [0, 1], [0.5, 0.25])
+        t = UncertainTrajectory(7, 1000, [0], 240, [ref, two])
+        teds = [instance_to_ted(net, i) for i in t.instances]
+        assert len(teds[1].entries) == 2 and teds[0].trimmed_tflag()
+        ct2 = encode_trajectory(
+            net, t, teds, ReferenceAssignment({0: [1]}), CFG
+        )
+        full = decode_trajectory(ct2, CFG, net.max_out_degree)
+        cache = {}
+        no_d = decode_instance_partial(
+            ct2, CFG, net.max_out_degree, 1, cache, need_d=False
+        )
+        with_d = decode_instance_partial(ct2, CFG, net.max_out_degree, 1, cache)
+        for got in (full.teds[1], no_d, with_d):
+            assert (got.sv, got.entries, got.tflag) == (
+                teds[1].sv, teds[1].entries, teds[1].tflag
+            )
+        assert no_d.d == [] and full.teds[1].d == with_d.d
+        assert all(abs(a - b) <= CFG.eta_d for a, b in zip(with_d.d, teds[1].d))
