@@ -13,14 +13,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def get_spark(app: str):
-    from pyspark.sql import SparkSession
+    from repro.spark_session import spark_builder
 
     return (
-        SparkSession.builder.appName(app)
+        spark_builder(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
         .getOrCreate()

@@ -109,7 +109,7 @@ def _compress_group(
     compress_ms = (time.perf_counter() - t_start) * 1e3
 
     temporal, spatial = build_traj_tuples(
-        net, grid, duration_s, cfg.eta_d,
+        net, grid, duration_s,
         {i: t for i, t in enumerate(teds)}, ct.ref_of, ct, traj.timestamps(),
     )
 
@@ -229,18 +229,18 @@ def ratio_summary(compressed: DataFrame) -> dict:
     def ratio(o, c):
         return float(o) / float(c) if c else float("inf")
 
-    orig_total = sum(agg[f"orig_{k}"] for k in ("t", "e", "d", "tp", "p"))
-    comp_total = (
+    orig_sum = sum(agg[f"orig_{k}"] for k in ("t", "e", "d", "tp", "p"))
+    comp_sum = (
         sum(agg[f"comp_{k}"] for k in ("t", "e", "d", "tp", "p")) + agg["comp_meta"]
     )
     return {
-        "Total": ratio(orig_total, comp_total),
+        "Total": ratio(orig_sum, comp_sum),
         "T": ratio(agg["orig_t"], agg["comp_t"]),
         "E": ratio(agg["orig_e"], agg["comp_e"]),
         "D": ratio(agg["orig_d"], agg["comp_d"]),
         "Tp": ratio(agg["orig_tp"], agg["comp_tp"]),
         "p": ratio(agg["orig_p"], agg["comp_p"]),
-        "orig_bits": int(orig_total),
-        "comp_bits": int(comp_total),
+        "orig_bits": int(orig_sum),
+        "comp_bits": int(comp_sum),
         "kernel_ms": float(agg["compress_ms"]),
     }

@@ -2,7 +2,8 @@
 
 ``decode_trajectory`` inverts :func:`repro.core.encoder.encode_trajectory`
 losslessly for SV/E/T′/T and within η_D/η_p for D/p.  The partial helpers
-start from StIU bit offsets and decode only what a query needs.
+start from recorded bit offsets (an instance's ``start``/``d_start``, a
+temporal tuple's ``t_pos``) and decode only what a query needs.
 """
 from __future__ import annotations
 
@@ -143,8 +144,7 @@ def _read_d(r: BitReader, ref: TedTuple | None, w: _Widths) -> list[float]:
 
 
 def read_e_factors(r: BitReader, ref_len: int, be: int) -> list[Factor]:
-    """Parse a ComE factor stream (shared by the full decoder and the
-    spatial-index partial decompression via ``ma.pos``)."""
+    """Parse a ComE factor stream."""
     bs = bits_needed(ref_len + 1)
     h_total = decode_delta(r) + 1
     factors: list[Factor] = []
@@ -256,14 +256,3 @@ def timestamps_from_anchor(
         out.append(out[-1] + ts + d)
     return out
 
-
-def decode_ref_d_value(
-    ct: CompressedTrajectory, d_start: int, index: int, eta_d: float
-) -> float:
-    """Random-access one relative distance of a reference: D values are
-    fixed-width, so ``d_start + index·bd`` addresses it directly (this is
-    what the spatial tuple's ``d.pos`` enables)."""
-    bd = bits_for_bound(eta_d)
-    r = BitReader(ct.blob, ct.nbits)
-    r.seek(d_start + index * bd)
-    return dequantize(r.read_bits(bd), bd)

@@ -62,8 +62,9 @@ class CompressedTrajectory:
     comp_bits: dict[str, int]
     #: bit position of each SIAR delta i (for the temporal index t.pos)
     delta_offsets: list[int] = field(default_factory=list)
-    #: per instance id: dict with section offsets (see encoder body)
-    inst_offsets: dict[int, dict[str, object]] = field(default_factory=dict)
+    #: per instance id: bit offsets ``start`` (its p field) and
+    #: ``d_start`` (its D or ComD section)
+    inst_offsets: dict[int, dict[str, int]] = field(default_factory=dict)
     #: instance id → reference instance id (== itself for references)
     ref_of: dict[int, int] = field(default_factory=dict)
     #: instance id → probability, quantized as the blob stores it
@@ -115,7 +116,7 @@ def encode_trajectory(
     comp = {c: 0 for c in COMPONENTS}
     orig = {c: 0 for c in COMPONENTS}
     delta_offsets: list[int] = []
-    inst_offsets: dict[int, dict[str, object]] = {}
+    inst_offsets: dict[int, dict[str, int]] = {}
     ref_of: dict[int, int] = {}
     probs: dict[int, float] = {}
 
@@ -188,14 +189,14 @@ def _encode_reference(
     bd: int,
     bp: int,
     comp: dict[str, int],
-    inst_offsets: dict[int, dict[str, object]],
+    inst_offsets: dict[int, dict[str, int]],
 ) -> None:
     ne = len(ref.entries)
     if ne > 65535:
         raise ValueError("edge sequence too long for blob format")
     w.write_bits(inst_id, bi)
     comp["meta"] += bi
-    off: dict[str, object] = {"kind": "ref", "start": len(w)}
+    off: dict[str, int] = {"start": len(w)}
     w.write_bits(quantize(ref.prob, bp), bp)
     comp["p"] += bp
 
@@ -229,11 +230,11 @@ def _encode_nonref(
     bp: int,
     bm: int,
     comp: dict[str, int],
-    inst_offsets: dict[int, dict[str, object]],
+    inst_offsets: dict[int, dict[str, int]],
 ) -> None:
     w.write_bits(inst_id, bi)
     comp["meta"] += bi
-    off: dict[str, object] = {"kind": "nonref", "start": len(w)}
+    off: dict[str, int] = {"start": len(w)}
     w.write_bits(quantize(nref.prob, bp), bp)
     comp["p"] += bp
 
@@ -245,9 +246,7 @@ def _encode_nonref(
     encode_delta(w, len(e_factors) - 1)
     comp["meta"] += len(w) - cstart  # factor counts are structure, not E
     start = len(w)
-    factor_offsets: list[int] = []
     for h, f in enumerate(e_factors):
-        factor_offsets.append(len(w))
         if f.l is None:  # case B: (S=|E_ref|, M)
             w.write_bits(len(ref.entries), bs)
             w.write_bits(f.m, be)
@@ -261,16 +260,6 @@ def _encode_nonref(
             if f.m is not None:
                 w.write_bits(f.m, be)
     comp["E"] += len(w) - start
-    off["come_factor_offsets"] = factor_offsets
-    # Output-coordinate span of each factor (match + consumed M), used by
-    # the StIU spatial tuples to locate the factor containing an edge.
-    spans: list[tuple[int, int]] = []
-    pos = 0
-    for f in e_factors:
-        ln = 1 if f.l is None else f.l + (1 if f.m is not None else 0)
-        spans.append((pos, pos + ln))
-        pos += ln
-    off["come_spans"] = spans
 
     # ComT′ — (S, L) with mostly-implicit M
     ref_trim = ref.trimmed_tflag()

@@ -101,8 +101,7 @@ class UTCQEngine:
                 for i, inst in enumerate(traj.instances)
             }
             temporal, spatial = build_traj_tuples(
-                net, grid, duration_s, cfg.eta_d, teds, ct.ref_of, ct,
-                traj.timestamps(),
+                net, grid, duration_s, teds, ct.ref_of, ct, traj.timestamps()
             )
             entries[traj.traj_id] = TrajIndexEntry(ct, temporal, spatial)
         return cls(net, cfg, grid, entries)

@@ -9,31 +9,27 @@ builds the index during compression), travel in the compressed row's typed
 * temporal: ``(traj_id, interval_id, t_start, t_no, t_pos)`` — earliest
   timestamp per time partition with its position in T(Tu) and the bit
   offset of the following SIAR delta in the blob (partial decode entry);
-* spatial:  ``(traj_id, interval_id*, inst_id, ref_id, kind, region,
-  fv_id, fv_no, d_pos, ma_pos, p_total, p_max, t_enter, t_exit)`` — one
-  tuple per (instance, region) first visit, with reference tuples carrying
-  the Lemma-1/3/4 pruning aggregates p_total / p_max.
+* spatial:  ``(traj_id, inst_id, ref_id, kind, region, fv_id, p_max,
+  t_enter, t_exit)`` — one tuple per (instance, region) first visit.
+  ``fv_id`` is the start vertex of the edge on which the instance enters
+  the region (its SV when the path starts there).  A reference tuple
+  carries ``fv_id = -1``, the paper's ∞, when the reference itself does
+  not traverse the region, and ``p_max``, the largest stored p of its
+  non-references there (the Lemma 1 bound).
 
-``fv_id = -1`` encodes the paper's ∞ ("the reference itself did not
-traverse re").  Time windows [t_enter, t_exit] are conservative supersets
-derived from the sample timestamps bracketing the visit, so index filtering
-never drops a true candidate.
+Queries decode whole instances from the ``insts`` offsets, so the tuples
+carry no partial-decode pointers.  Time windows [t_enter, t_exit] are
+conservative supersets derived from the sample timestamps bracketing the
+visit, so index filtering never drops a true candidate.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro.bits import bits_for_bound
 from repro.core.encoder import CompressedTrajectory
 from repro.core.model import TedTuple
-from repro.query.arrays import gamma_naive
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid import SpatialGrid
-
-
-def entry_index_of_edges(entries: list[int]) -> list[int]:
-    """Entry index (into E incl. the extra-point 0s) of each path edge."""
-    return [i for i, no in enumerate(entries) if no > 0]
 
 
 def path_vertices(net: RoadNetwork, sv: int, entries: list[int]) -> list[int]:
@@ -94,7 +90,6 @@ def build_traj_tuples(
     net: RoadNetwork,
     grid: SpatialGrid,
     duration_s: int,
-    eta_d: float,
     teds: dict[int, TedTuple],
     ref_of: dict[int, int],
     ct: CompressedTrajectory,
@@ -103,7 +98,8 @@ def build_traj_tuples(
     """All StIU tuples for one compressed trajectory.
 
     ``teds`` maps instance id → improved-TED representation (available in
-    the compression kernel); ``ct`` supplies the partial-decode offsets.
+    the compression kernel); ``ct`` supplies the SIAR delta offsets and the
+    stored (quantized) probabilities that queries compare with α.
     """
     tss = timestamps
     m = len(tss)
@@ -129,127 +125,42 @@ def build_traj_tuples(
             }
         )
 
-    # ---- per-instance geometry ------------------------------------------
-    info: dict[int, dict] = {}
+    # ---- per instance: region → (entry vertex, t_enter, t_exit) ----------
+    visits: dict[int, dict[int, tuple[int, int, int]]] = {}
     for i, ted in teds.items():
         verts, pt_edges = path_structure(net, ted)
-        info[i] = {
-            "verts": verts,
-            "entry_idx": entry_index_of_edges(ted.entries),
-            "pt_edges": pt_edges,
-            "visits": visits_of(net, grid, verts),
-            "gamma": gamma_naive(ted.tflag),
+        visits[i] = {
+            region: (verts[max(0, k0 - 1)], *_visit_window(tss, pt_edges, k0, k1))
+            for region, k0, k1 in visits_of(net, grid, verts)
         }
 
-    # region → members and visit data
-    region_members: dict[int, dict[int, tuple[int, int]]] = {}
-    for i, inf in info.items():
-        for region, k0, k1 in inf["visits"]:
-            region_members.setdefault(region, {})[i] = (k0, k1)
-
-    bd = bits_for_bound(eta_d)
-    spatial: list[dict] = []
     groups: dict[int, list[int]] = {}
     for i, r in ref_of.items():
         groups.setdefault(r, []).append(i)
 
+    spatial: list[dict] = []
     for r, members in groups.items():
-        ref_regions = {reg for reg, _, _ in info[r]["visits"]}
-        group_regions = set()
-        for i in members:
-            group_regions |= {reg for reg, _, _ in info[i]["visits"]}
-        for region in sorted(group_regions):
-            omega_members = [i for i in members if i in region_members.get(region, {})]
-            # From the unquantized p; ``ct.probs`` holds the quantized ones.
-            p_total = sum(teds[i].prob for i in omega_members)
-            nonref_ps = [teds[i].prob for i in omega_members if i != r]
-            p_max = max(nonref_ps) if nonref_ps else 0.0
-            windows = []
-            for i in omega_members:
-                k0, k1 = region_members[region][i]
-                windows.append(
-                    _visit_window(tss, info[i]["pt_edges"], k0, k1)
-                )
-            t_enter = min(w[0] for w in windows)
-            t_exit = max(w[1] for w in windows)
-            if region in ref_regions:
-                k0, k1 = region_members[region][r]
-                inf = info[r]
-                if k0 == 0:
-                    fv_id, fv_no, d_pos = inf["verts"][0], 0, 0
-                else:
-                    fv_id = inf["verts"][k0 - 1]
-                    fv_no = inf["entry_idx"][k0 - 1]
-                    d_no = inf["gamma"][fv_no]
-                    d_pos = ct.inst_offsets[r]["d_start"] + d_no * bd
-                spatial.append(
-                    _srow(r, r, "ref", region, fv_id, fv_no, d_pos, -1,
-                          p_total, p_max, t_enter, t_exit)
-                )
-            else:
-                spatial.append(
-                    _srow(r, r, "ref", region, -1, -1, -1, -1,
-                          p_total, p_max, t_enter, t_exit)
-                )
-            # non-reference tuples
-            for i in omega_members:
-                if i == r:
-                    continue
-                k0, k1 = region_members[region][i]
-                inf = info[i]
-                w0, w1 = _visit_window(tss, inf["pt_edges"], k0, k1)
-                if k0 == 0:
-                    rv_id, rv_no, ma_pos = inf["verts"][0], 0, 0
-                else:
-                    fv_no = inf["entry_idx"][k0 - 1]
-                    h, rv_no = _factor_of_entry(ct, i, fv_no)
-                    rv_id = _vertex_of_entry(inf, rv_no)
-                    ma_pos = ct.inst_offsets[i]["come_factor_offsets"][h]
-                spatial.append(
-                    _srow(i, r, "nonref", region, rv_id, rv_no, -1, ma_pos,
-                          0.0, 0.0, w0, w1)
-                )
+        for region in sorted(set().union(*(visits[i] for i in members))):
+            here = [i for i in members if region in visits[i]]
+            # Lemma 1 prunes on p_max < α, so it is taken over the stored
+            # p that answers compare with α.
+            p_max = max((ct.probs[i] for i in here if i != r), default=0.0)
+            spatial.append({
+                "inst_id": r, "ref_id": r, "kind": "ref", "region": region,
+                "fv_id": visits[r][region][0] if region in visits[r] else -1,
+                "p_max": p_max,
+                "t_enter": min(visits[i][region][1] for i in here),
+                "t_exit": max(visits[i][region][2] for i in here),
+            })
+            for i in here:
+                if i != r:
+                    fv_id, t_enter, t_exit = visits[i][region]
+                    spatial.append({
+                        "inst_id": i, "ref_id": r, "kind": "nonref",
+                        "region": region, "fv_id": fv_id, "p_max": 0.0,
+                        "t_enter": t_enter, "t_exit": t_exit,
+                    })
     return temporal, spatial
-
-
-def _vertex_of_entry(inf: dict, entry_idx: int) -> int:
-    """Start vertex of the path edge owning ``entry_idx``."""
-    eidx = inf["entry_idx"]
-    j = bisect_left(eidx, entry_idx)
-    if j == len(eidx) or eidx[j] != entry_idx:
-        j = max(0, j - 1)  # a 0-entry belongs to the previous edge
-    return inf["verts"][j]
-
-
-def _factor_of_entry(
-    ct: CompressedTrajectory, inst_id: int, entry_idx: int
-) -> tuple[int, int]:
-    """(factor index h, span start) of the ComE factor covering ``entry_idx``."""
-    spans = ct.inst_offsets[inst_id].get("come_spans", [])
-    for h, (a, b) in enumerate(spans):
-        if a <= entry_idx < b:
-            return h, a
-    return max(0, len(spans) - 1), spans[-1][0] if spans else 0
-
-
-def _srow(
-    inst_id, ref_id, kind, region, fv_id, fv_no, d_pos, ma_pos,
-    p_total, p_max, t_enter, t_exit
-) -> dict:
-    return {
-        "inst_id": inst_id,
-        "ref_id": ref_id,
-        "kind": kind,
-        "region": region,
-        "fv_id": fv_id,
-        "fv_no": fv_no,
-        "d_pos": d_pos,
-        "ma_pos": ma_pos,
-        "p_total": p_total,
-        "p_max": p_max,
-        "t_enter": t_enter,
-        "t_exit": t_exit,
-    }
 
 
 # ---- Spark-level index construction -------------------------------------
@@ -259,8 +170,7 @@ TEMPORAL_TUPLE_SCHEMA = (
 )
 SPATIAL_TUPLE_SCHEMA = (
     "array<struct<inst_id:int,ref_id:int,kind:string,region:int,"
-    "fv_id:long,fv_no:int,d_pos:long,ma_pos:long,"
-    "p_total:double,p_max:double,t_enter:long,t_exit:long>>"
+    "fv_id:long,p_max:double,t_enter:long,t_exit:long>>"
 )
 
 
@@ -275,8 +185,15 @@ def index_dataframes(compressed_df):
 
 
 def index_size_bits(tindex_count: int, sindex_count: int) -> int:
-    """Storage accounting for the StIU index: temporal tuples hold
-    (t_start 17b, t_no 16b, t_pos 32b); spatial tuples hold ids/offsets/
-    probabilities ≈ (32+16+32+32+2·16) bits — used for the Fig. 9-style
-    index-size comparison."""
-    return tindex_count * (17 + 16 + 32) + sindex_count * (32 + 16 + 32 + 32 + 32)
+    """Storage accounting for the StIU index (Fig. 9-style index size).
+
+    A temporal tuple holds t_start 17b (seconds of day, as t0 in the
+    blob), t_no 16b and t_pos 32b: 65 bits.  A spatial tuple holds
+    inst_id 8b and ref_id 8b (a blob holds at most 255 instances), kind
+    1b, region 16b (grids up to 256×256), fv_id 32b (a vertex id), p_max
+    16b (a stored p), t_enter 17b and t_exit 17b: 115 bits.  The
+    trajectory id and the interval id are not counted: the tuples are
+    stored per trajectory, and the interval follows from t_start."""
+    return tindex_count * (17 + 16 + 32) + sindex_count * (
+        8 + 8 + 1 + 16 + 32 + 16 + 17 + 17
+    )

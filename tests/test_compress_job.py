@@ -12,7 +12,7 @@ from repro.core.decoder import decode_trajectory
 from repro.core.model import instance_to_ted
 from repro.oracle import assert_equivalent
 from repro.query.queries import UTCQEngine
-from repro.query.stiu import index_dataframes
+from repro.query.stiu import SPATIAL_TUPLE_SCHEMA, index_dataframes
 from repro.roadnet import grid_network
 from repro.trajgen import DATASET_PROFILES, generate_dataset
 from repro.trajgen.spark_io import dataset_df, trajectories_to_pandas
@@ -117,6 +117,23 @@ class TestTypedRow:
         kinds = {r.kind for r in sindex.select("kind").distinct().collect()}
         assert kinds == {"ref", "nonref"}
 
+    def test_spatial_tuple_fields_are_the_ones_queries_read(
+        self, compressed, net, trajs
+    ):
+        import re
+
+        fields = [
+            "inst_id", "ref_id", "kind", "region",
+            "fv_id", "p_max", "t_enter", "t_exit",
+        ]
+        _, sindex = index_dataframes(compressed)
+        assert sindex.columns == ["traj_id"] + fields
+        assert re.findall(r"(\w+):", SPATIAL_TUPLE_SCHEMA) == fields
+        engine = UTCQEngine.from_trajectories(net, CFG, trajs[:2])
+        for e in engine.entries.values():
+            assert e.spatial
+            assert all(list(s) == fields for s in e.spatial)
+
     def test_row_probs_equal_decoded_probs(self, compressed, net):
         for row in compressed.collect():
             ct = ct_from_row(row)
@@ -134,10 +151,7 @@ class TestTypedRow:
             assert (g.ct.blob, g.ct.nbits) == (w.ct.blob, w.ct.nbits)
             assert g.ct.ref_of == w.ct.ref_of
             assert g.ct.probs == w.ct.probs
-            assert g.ct.inst_offsets == {
-                i: {"start": o["start"], "d_start": o["d_start"]}
-                for i, o in w.ct.inst_offsets.items()
-            }
+            assert g.ct.inst_offsets == w.ct.inst_offsets
             assert g.temporal == w.temporal
             assert g.spatial == w.spatial
 
@@ -167,7 +181,7 @@ class TestIndexDataFrames:
         tcols = set(tindex.columns)
         assert {"traj_id", "interval_id", "t_start", "t_no", "t_pos"} <= tcols
         scols = set(sindex.columns)
-        assert {"traj_id", "inst_id", "kind", "region", "p_total", "p_max"} <= scols
+        assert {"traj_id", "inst_id", "kind", "region", "p_max"} <= scols
 
     def test_temporal_tuples_reference_real_timestamps(self, compressed, trajs):
         tindex, _ = index_dataframes(compressed)
@@ -182,7 +196,7 @@ class TestIndexDataFrames:
         refs = sindex.filter("kind = 'ref'").collect()
         assert refs
         for r in refs:
-            assert 0.0 <= r.p_max <= r.p_total <= 1.0 + 1e-6
+            assert 0.0 <= r.p_max <= 1.0
 
     def test_distributed_generation_matches_driver(self, spark, net, trajs):
         inst_df, times_df, net2 = dataset_df(spark, "test", n_traj=25)

@@ -6,7 +6,7 @@ from repro.core.config import DATASET_CONFIGS, UTCQConfig
 from repro.core.decoder import decode_trajectory
 from repro.core.encoder import compress_trajectory
 from repro.core.model import UncertainTrajectory, ted_to_instance
-from repro.examples.fig2 import fig2_network, fig2_trajectory
+from repro.examples.fig2 import V2, V10, fig2_network, fig2_trajectory
 from repro.query.queries import UTCQEngine
 from repro.query.reference import (
     range_query_ref,
@@ -67,6 +67,23 @@ class TestFig2Examples:
         without = eng.when(1, (185191, 185192), 0.25, 0.5, use_lemma1=False)
         assert with_l1 == without
         assert [i for i, _ in with_l1] == [0]
+
+    def test_lemma1_bounds_with_the_stored_p(self, fig2_engine):
+        # Tu¹₂ alone crosses (v2→v10).  With p = 0.199 it is stored as
+        # 102/512 > 0.199; at α equal to that stored p it qualifies, so
+        # Lemma 1 must not prune it on its unquantized p.
+        net, cfg, _ = fig2_engine
+        traj = fig2_trajectory()
+        for inst, p in zip(traj.instances, (0.75, 0.199, 0.051)):
+            inst.prob = p
+        eng = UTCQEngine.from_trajectories(net, cfg, [traj])
+        ct = eng.entries[1].ct
+        assert ct.ref_of[1] == 0 and ct.probs[1] > 0.199
+        alpha = ct.probs[1]
+        with_l1 = eng.when(1, (V2, V10), 0.5, alpha, use_lemma1=True)
+        without = eng.when(1, (V2, V10), 0.5, alpha, use_lemma1=False)
+        assert with_l1 == without
+        assert [i for i, _ in with_l1] == [1]
 
     def test_unknown_trajectory(self, fig2_engine):
         _, _, eng = fig2_engine

@@ -3,13 +3,12 @@ import pytest
 
 from repro.core.compress_job import network_grid
 from repro.core.config import UTCQConfig
-from repro.core.decoder import decode_ref_d_value, decode_times_from
+from repro.core.decoder import decode_times_from
 from repro.core.encoder import compress_trajectory
 from repro.core.model import instance_to_ted
 from repro.examples.fig2 import fig2_network, fig2_trajectory
 from repro.query.stiu import (
     build_traj_tuples,
-    entry_index_of_edges,
     index_size_bits,
     path_vertices,
     visits_of,
@@ -26,19 +25,13 @@ def built():
     teds = {i: instance_to_ted(net, inst) for i, inst in enumerate(traj.instances)}
     grid = network_grid(net, CFG.grid_n)
     temporal, spatial = build_traj_tuples(
-        net, grid, CFG.time_partition_min * 60, CFG.eta_d,
+        net, grid, CFG.time_partition_min * 60,
         teds, ct.ref_of, ct, traj.timestamps(),
     )
     return net, traj, ct, teds, grid, temporal, spatial
 
 
 class TestHelpers:
-    def test_entry_index_of_edges(self):
-        # E(Tu¹₁) = ⟨1,2,1,2,2,0,4,1,0⟩ → edges at entries 0,1,2,3,4,6,7.
-        assert entry_index_of_edges([1, 2, 1, 2, 2, 0, 4, 1, 0]) == [
-            0, 1, 2, 3, 4, 6, 7,
-        ]
-
     def test_path_vertices(self, built):
         net, traj, *_ = built
         ted = instance_to_ted(net, traj.instances[0])
@@ -83,29 +76,28 @@ class TestSpatialTuples:
         assert insts == {0, 1, 2}
 
     def test_ref_tuples_aggregate_probs(self, built):
-        *_, spatial = built
+        _, _, ct, *_, spatial = built
         refs = [s for s in spatial if s["kind"] == "ref"]
         assert refs
         for s in refs:
             assert s["inst_id"] == 0  # Tu¹₁ is the only reference
-            assert s["p_total"] <= 1.0 + 1e-9
-            assert s["p_max"] in (0.0, pytest.approx(0.2), pytest.approx(0.05))
+            nonrefs = [
+                t["inst_id"] for t in spatial
+                if t["kind"] == "nonref" and t["region"] == s["region"]
+            ]
+            # p_max is the largest STORED p among the group's non-references
+            # in the region (what the answers compare with α).
+            assert s["p_max"] == max(
+                (ct.probs[i] for i in nonrefs), default=0.0
+            )
 
     def test_first_region_tuple_uses_sv(self, built):
-        net, traj, *_ , spatial = built
-        grid_region_of_sv = [
-            s for s in spatial if s["kind"] == "ref" and s["fv_no"] == 0
-        ]
-        assert any(s["fv_id"] == 185190 for s in grid_region_of_sv)
-
-    def test_d_pos_random_access(self, built):
-        net, traj, ct, teds, *_ , spatial = built
-        ref_ted = teds[0]
-        for s in spatial:
-            if s["kind"] == "ref" and s["d_pos"] > 0 and s["fv_id"] != -1:
-                val = decode_ref_d_value(ct, s["d_pos"], 0, CFG.eta_d)
-                # the value must be one of the reference's quantized rds
-                assert any(abs(val - rd) <= CFG.eta_d for rd in ref_ted.d)
+        net, traj, ct, teds, grid, _, spatial = built
+        sv_region = grid.cell_of(*net.coords[teds[0].sv])
+        assert [
+            s["fv_id"] for s in spatial
+            if s["kind"] == "ref" and s["region"] == sv_region
+        ] == [185190]
 
     def test_time_windows_contain_visit(self, built):
         _, traj, *_ , spatial = built
@@ -118,10 +110,10 @@ class TestSpatialTuples:
         for s in spatial:
             if s["kind"] == "nonref":
                 assert s["ref_id"] == 0
-                assert s["ma_pos"] >= 0
+                assert s["fv_id"] != -1  # an instance visits its own regions
 
 
 class TestIndexSize:
     def test_size_accounting(self):
         assert index_size_bits(0, 0) == 0
-        assert index_size_bits(2, 3) == 2 * 65 + 3 * 144
+        assert index_size_bits(2, 3) == 2 * 65 + 3 * 115
