@@ -18,10 +18,7 @@ from repro.core.config import DATASET_CONFIGS
 from repro.query.queries import UTCQEngine
 from repro.roadnet import grid_network
 from repro.roadnet.grid import Rect
-from repro.ted.ted_query import TEDBaselineEngine, TedTrajBlob
-from repro.ted.ted_encode import encode_instance_payload
-from repro.core.model import instance_to_ted
-from repro.bits import bits_needed
+from repro.ted.ted_query import TEDBaselineEngine
 from repro.trajgen import DATASET_PROFILES, generate_dataset
 
 # HZ-like data (≈13 instances per trajectory): the setting where partial
@@ -41,23 +38,7 @@ def _setup():
     trajs = generate_dataset(net, prof, n_traj=N_TRAJ)
     engine = UTCQEngine.from_trajectories(net, cfg, trajs)
     grid = network_grid(net, cfg.grid_n)
-    be = bits_needed(net.max_out_degree + 1)
-    blobs = {}
-    for t in trajs:
-        payloads = [
-            encode_instance_payload(
-                instance_to_ted(net, i), be, cfg.eta_d, cfg.eta_p
-            )
-            for i in t.instances
-        ]
-        b = TedTrajBlob(t.t0, t.ts, t.deltas, payloads, t.num_points)
-        tss = t.timestamps()
-        b.t_first, b.t_last = tss[0], tss[-1]
-        for inst in t.instances:
-            for v in [inst.path[0][0]] + [e[1] for e in inst.path]:
-                b.regions.add(grid.cell_of(*net.coords[v]))
-        blobs[t.traj_id] = b
-    ted = TEDBaselineEngine(net, cfg, grid, blobs)
+    ted = TEDBaselineEngine.from_trajectories(net, cfg, grid, trajs)
 
     where_qs = [(t.traj_id, t.t0 + 40, 0.2) for t in trajs[:80]]
     when_qs = [

@@ -1,15 +1,17 @@
 """UTCQ compression as a distributed DataFrame job (§3, framework).
 
 ``compress_dataset`` joins the instance rows with the shared time rows
-(shuffle join — broadcast joins are disabled by the session fixture),
-groups by ``traj_id``, and runs the whole per-trajectory pipeline (pivot
-selection → FJD → Algorithm 1 → referential representation → bit packing →
-StIU tuples) inside ``applyInPandas``.  One output row per uncertain
-trajectory carries the blob, per-component bit accounting and typed
-columns for the readers: ``insts`` (per instance its reference, quantized
-probability and the two bit offsets partial decoding seeks), and the StIU
-tuples ``tindex``/``sindex``.  Ratios and index DataFrames are derived with
-plain Spark SQL.
+(shuffle join — ``repro.spark_session.spark_builder`` disables broadcast
+joins), groups by ``traj_id``, reads each group into its TED form with
+``spark_io.group_to_ted`` and runs :func:`compress_and_index`, the whole
+per-trajectory pipeline (pivot selection → FJD → Algorithm 1 → referential
+representation → bit packing → StIU tuples), inside ``applyInPandas``;
+``UTCQEngine.from_trajectories`` runs the same function on the driver.
+One output row per uncertain trajectory carries the blob, per-component
+bit accounting and typed columns for the readers: ``insts`` (per instance
+its reference, quantized probability and the two bit offsets partial
+decoding seeks), and the StIU tuples ``tindex``/``sindex``.  Ratios and
+index DataFrames are derived with plain Spark SQL.
 """
 from __future__ import annotations
 
@@ -23,15 +25,12 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.config import UTCQConfig
-from repro.core.encoder import CompressedTrajectory, compress_trajectory
-from repro.core.model import TedTuple, UncertainTrajectory, ted_to_instance
+from repro.core.encoder import CompressedTrajectory, compress_ted
+from repro.core.model import TedTrajectory
+from repro.query import stiu
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid import Rect, SpatialGrid
-from repro.query.stiu import (
-    SPATIAL_TUPLE_SCHEMA,
-    TEMPORAL_TUPLE_SCHEMA,
-    build_traj_tuples,
-)
+from repro.trajgen.spark_io import group_to_ted
 
 #: What a reader needs of each instance: its reference, its probability and
 #: the bit offsets of its p field and of its D (or ComD) section.
@@ -45,7 +44,7 @@ COMPRESSED_SCHEMA = (
     "orig_t long, orig_e long, orig_d long, orig_tp long, orig_p long, "
     "comp_t long, comp_e long, comp_d long, comp_tp long, comp_p long, "
     f"comp_meta long, insts {INSTANCE_SCHEMA}, "
-    f"tindex {TEMPORAL_TUPLE_SCHEMA}, sindex {SPATIAL_TUPLE_SCHEMA}, "
+    f"tindex {stiu.TEMPORAL_TUPLE_SCHEMA}, sindex {stiu.SPATIAL_TUPLE_SCHEMA}, "
     "compress_ms double"
 )
 
@@ -78,6 +77,21 @@ def compress_dataset(
     return joined.groupBy("traj_id").applyInPandas(kernel, schema=COMPRESSED_SCHEMA)
 
 
+def compress_and_index(
+    net: RoadNetwork,
+    grid: SpatialGrid,
+    duration_s: int,
+    traj: TedTrajectory,
+    cfg: UTCQConfig,
+) -> tuple[CompressedTrajectory, list[dict], list[dict]]:
+    """The per-trajectory kernel: the compressed trajectory and its
+    temporal and spatial StIU tuples (the paper builds the index during
+    compression)."""
+    ct = compress_ted(net, traj, cfg)
+    temporal, spatial = stiu.build_traj_tuples(net, grid, duration_s, traj, ct)
+    return ct, temporal, spatial
+
+
 def _compress_group(
     pdf: pd.DataFrame,
     net: RoadNetwork,
@@ -85,39 +99,16 @@ def _compress_group(
     duration_s: int,
     cfg: UTCQConfig,
 ) -> pd.DataFrame:
-    pdf = pdf.sort_values("inst_id")
-    traj_id = int(pdf["traj_id"].iloc[0])
-    t0 = int(pdf["t0"].iloc[0])
-    ts = int(pdf["ts"].iloc[0])
-    deltas = [int(x) for x in pdf["deltas"].iloc[0]]
-
-    teds = [
-        TedTuple(
-            int(r.sv),
-            [int(x) for x in r.e],
-            [int(x) for x in r.tflag],
-            [float(x) for x in r.d],
-            float(r.prob),
-        )
-        for r in pdf.itertuples()
-    ]
-    instances = [ted_to_instance(net, t) for t in teds]
-    traj = UncertainTrajectory(traj_id, t0, deltas, ts, instances)
-
+    traj = group_to_ted(pdf)
     t_start = time.perf_counter()
-    ct = compress_trajectory(net, traj, cfg)
+    ct, temporal, spatial = compress_and_index(net, grid, duration_s, traj, cfg)
     compress_ms = (time.perf_counter() - t_start) * 1e3
 
-    temporal, spatial = build_traj_tuples(
-        net, grid, duration_s,
-        {i: t for i, t in enumerate(teds)}, ct.ref_of, ct, traj.timestamps(),
-    )
-
     row = {
-        "traj_id": traj_id,
-        "ts": ts,
+        "traj_id": traj.traj_id,
+        "ts": traj.ts,
         "m": traj.num_points,
-        "n_inst": len(teds),
+        "n_inst": len(traj.teds),
         "n_refs": len({r for r in ct.ref_of.values()}),
         "blob": ct.blob,
         "nbits": ct.nbits,

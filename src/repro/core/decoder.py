@@ -19,7 +19,7 @@ from repro.bits import (
 )
 from repro.core.config import UTCQConfig
 from repro.core.encoder import T0_BITS, CompressedTrajectory
-from repro.core.model import TedTuple
+from repro.core.model import TedTuple, siar_timestamps
 from repro.core.referential import Factor, apply_d, apply_e, apply_tflag
 
 
@@ -35,7 +35,7 @@ class DecodedTrajectory:
     ref_of: dict[int, int] = field(default_factory=dict)
 
     def timestamps(self) -> list[int]:
-        return timestamps_from_anchor(self.t0, self.ts, self.deltas)
+        return siar_timestamps(self.t0, self.ts, self.deltas)
 
 
 class _Widths(NamedTuple):
@@ -74,7 +74,7 @@ def decode_timestamps(ct: CompressedTrajectory) -> list[int]:
     r = BitReader(ct.blob, ct.nbits)
     m, _, _ = _read_header(r)
     t0, deltas = _read_times(r, m)
-    return timestamps_from_anchor(t0, ct.ts, deltas)
+    return siar_timestamps(t0, ct.ts, deltas)
 
 
 def decode_trajectory(
@@ -240,19 +240,8 @@ def decode_times_from(
     the bit offset ``t_pos`` of its delta (from the temporal index) and the
     absolute value of timestamp ``t_no`` is NOT needed — callers pass the
     tuple's ``t_start``.  Returns the deviations; see
-    :func:`timestamps_from_anchor` for reconstruction.
+    :func:`repro.core.model.siar_timestamps` for reconstruction.
     """
     r = BitReader(ct.blob, ct.nbits)
     r.seek(t_pos)
     return [decode_delta(r) for _ in range(count)]
-
-
-def timestamps_from_anchor(
-    anchor: int, ts: int, deltas: list[int]
-) -> list[int]:
-    """Absolute timestamps following ``anchor`` given SIAR deviations."""
-    out = [anchor]
-    for d in deltas:
-        out.append(out[-1] + ts + d)
-    return out
-

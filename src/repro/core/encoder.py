@@ -40,9 +40,9 @@ from repro.bits import (
 )
 from repro.core.config import UTCQConfig
 from repro.core.fjd import score_matrix
-from repro.core.model import TedTuple, UncertainTrajectory, instance_to_ted
+from repro.core.model import TedTrajectory, TedTuple, UncertainTrajectory
 from repro.core.pivots import select_pivots
-from repro.core.referential import factorize_e, factorize_tflag
+from repro.core.referential import diff_d, factorize_e, factorize_tflag
 from repro.core.refselect import ReferenceAssignment, select_references
 from repro.roadnet.graph import RoadNetwork
 
@@ -82,10 +82,15 @@ class CompressedTrajectory:
 def compress_trajectory(
     net: RoadNetwork, traj: UncertainTrajectory, cfg: UTCQConfig
 ) -> CompressedTrajectory:
-    """Compress ``traj``: reference selection + referential binary encoding."""
-    teds = [instance_to_ted(net, inst) for inst in traj.instances]
-    asg = _select(teds, cfg)
-    return encode_trajectory(net, traj, teds, asg, cfg)
+    """Compress ``traj`` through its improved-TED form."""
+    return compress_ted(net, traj.to_ted(net), cfg)
+
+
+def compress_ted(
+    net: RoadNetwork, traj: TedTrajectory, cfg: UTCQConfig
+) -> CompressedTrajectory:
+    """Reference selection + referential binary encoding of one NCUT."""
+    return encode_trajectory(net, traj, _select(traj.teds, cfg), cfg)
 
 
 def _select(teds: list[TedTuple], cfg: UTCQConfig) -> ReferenceAssignment:
@@ -97,11 +102,11 @@ def _select(teds: list[TedTuple], cfg: UTCQConfig) -> ReferenceAssignment:
 
 def encode_trajectory(
     net: RoadNetwork,
-    traj: UncertainTrajectory,
-    teds: list[TedTuple],
+    traj: TedTrajectory,
     asg: ReferenceAssignment,
     cfg: UTCQConfig,
 ) -> CompressedTrajectory:
+    teds = traj.teds
     m = traj.num_points
     if m < 2:
         raise ValueError("trajectories need at least two sample points")
@@ -279,14 +284,8 @@ def _encode_nonref(
             w.write_bit(0)
     comp["Tp"] += len(w) - start
 
-    # ComD — (pos, rd) difference pairs; identical D costs one bit.  A pair
-    # is stored only when the two values differ AFTER quantization — both
-    # sides decode through the same η_D grid, so equality there is exact.
-    diffs = [
-        (i, b)
-        for i, (a, b) in enumerate(zip(ref.d, nref.d))
-        if quantize(a, bd) != quantize(b, bd)
-    ]
+    # ComD — (pos, rd) difference pairs; identical D costs one bit.
+    diffs = diff_d(ref.d, nref.d, bd)
     off["d_start"] = len(w)
     cstart = len(w)
     encode_delta(w, len(diffs))

@@ -5,7 +5,8 @@ mapped locations; :class:`UncertainTrajectory` groups the instances with the
 shared time sequence (Definition 5: all instances share temporal
 information).  :class:`TedTuple` is the improved TED representation of §4.1 —
 ``(SV, E, D, T′, p)`` — and is the exchange format between the trajectory
-generator, the compressors, and Spark rows.
+generator, the compressors, and Spark rows; :class:`TedTrajectory` is a whole
+NCUT in that form, which is what both compressors encode.
 """
 from __future__ import annotations
 
@@ -97,11 +98,12 @@ class UncertainTrajectory:
         return len(self.deltas) + 1
 
     def timestamps(self) -> list[int]:
-        """Decode SIAR back to absolute timestamps."""
-        out = [self.t0]
-        for dlt in self.deltas:
-            out.append(out[-1] + self.ts + dlt)
-        return out
+        return siar_timestamps(self.t0, self.ts, self.deltas)
+
+    def to_ted(self, net: RoadNetwork) -> "TedTrajectory":
+        """The improved-TED form: one :class:`TedTuple` per instance."""
+        teds = [instance_to_ted(net, inst) for inst in self.instances]
+        return TedTrajectory(self.traj_id, self.t0, self.deltas, self.ts, teds)
 
     def validate(self) -> None:
         if abs(sum(i.prob for i in self.instances) - 1.0) > 1e-6:
@@ -114,6 +116,34 @@ class UncertainTrajectory:
         tss = self.timestamps()
         if any(b <= a for a, b in zip(tss[:-1], tss[1:])):
             raise ValueError("timestamps not strictly increasing")
+
+
+@dataclass
+class TedTrajectory:
+    """A NCUT in improved-TED form: the shared time sequence and one
+    :class:`TedTuple` per instance, in instance-id order."""
+
+    traj_id: int
+    t0: int
+    deltas: list[int]
+    ts: int
+    teds: list[TedTuple]
+
+    @property
+    def num_points(self) -> int:
+        return len(self.deltas) + 1
+
+    def timestamps(self) -> list[int]:
+        return siar_timestamps(self.t0, self.ts, self.deltas)
+
+
+def siar_timestamps(t0: int, ts: int, deltas: list[int]) -> list[int]:
+    """Absolute timestamps from a first timestamp ``t0``, the default
+    interval ``ts`` and the SIAR deviations that follow it (§4.1)."""
+    out = [t0]
+    for dlt in deltas:
+        out.append(out[-1] + ts + dlt)
+    return out
 
 
 def instance_to_ted(net: RoadNetwork, inst: Instance) -> TedTuple:
@@ -138,22 +168,27 @@ def instance_to_ted(net: RoadNetwork, inst: Instance) -> TedTuple:
     return TedTuple(inst.sv, entries, tflag, list(inst.rds), inst.prob)
 
 
-def ted_to_instance(net: RoadNetwork, t: TedTuple) -> Instance:
-    """Inverse of :func:`instance_to_ted` (losslessness of E/T′/D)."""
+def ted_path(net: RoadNetwork, t: TedTuple) -> tuple[list[int], list[int]]:
+    """Walk SV, E and T′: (path vertices, path-edge index of each sample
+    point).  E's extra-point 0 entries add no edge; D is not read."""
     if len(t.entries) != len(t.tflag):
         raise ValueError("E/T' length mismatch")
-    path: list[tuple[int, int]] = []
-    point_edge_idx: list[int] = []
-    cur = t.sv
+    verts = [t.sv]
+    pt_edges: list[int] = []
     for no, flag in zip(t.entries, t.tflag):
         if no > 0:
-            nxt = net.out_edge(cur, no)
-            path.append((cur, nxt))
-            cur = nxt
-        elif not path:
+            verts.append(net.out_edge(verts[-1], no))
+        elif len(verts) == 1:
             raise ValueError("edge sequence starts with 0")
         if flag:
-            point_edge_idx.append(len(path) - 1)
+            pt_edges.append(len(verts) - 2)
+    return verts, pt_edges
+
+
+def ted_to_instance(net: RoadNetwork, t: TedTuple) -> Instance:
+    """Inverse of :func:`instance_to_ted` (losslessness of E/T′/D)."""
+    verts, point_edge_idx = ted_path(net, t)
     if len(point_edge_idx) != len(t.d):
         raise ValueError("T' flags disagree with |D|")
+    path = list(zip(verts[:-1], verts[1:]))
     return Instance(t.prob, path, point_edge_idx, list(t.d))

@@ -11,8 +11,8 @@ Three factor formats, one per information type:
   ``NOT ref[S+L]``; only a final factor that has an M keeps the explicit
   (S, L, M) form, and a target identical to the reference is ∅.
 * ``D`` — (pos, rd) pairs at positions where the target's relative distance
-  differs from the reference's (instances share the point count, so D
-  sequences are equal length).
+  differs from the reference's once both are quantized (instances share the
+  point count, so D sequences are equal length).
 
 All three decompress losslessly (D up to the shared quantization applied to
 both sides).
@@ -20,6 +20,8 @@ both sides).
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.bits import quantize
 
 
 @dataclass(frozen=True)
@@ -159,11 +161,19 @@ def apply_tflag(ref: list[int], factors: list[Factor]) -> list[int]:
     return out
 
 
-def diff_d(ref: list[float], target: list[float]) -> list[tuple[int, float]]:
-    """ComD(Nref, Ref): (pos, rd) pairs where the sequences differ."""
+def diff_d(
+    ref: list[float], target: list[float], bd: int
+) -> list[tuple[int, float]]:
+    """ComD(Nref, Ref): (pos, rd) pairs where the sequences differ after
+    ``bd``-bit quantization.  Both sides decode through the same η_D grid,
+    so equality there is exact."""
     if len(ref) != len(target):
         raise ValueError("D sequences of one uncertain trajectory share length")
-    return [(i, t) for i, (r, t) in enumerate(zip(ref, target)) if r != t]
+    return [
+        (i, t)
+        for i, (r, t) in enumerate(zip(ref, target))
+        if quantize(r, bd) != quantize(t, bd)
+    ]
 
 
 def apply_d(ref: list[float], diffs: list[tuple[int, float]]) -> list[float]:

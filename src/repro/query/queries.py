@@ -19,9 +19,8 @@ from repro.bits import BitReader, decode_delta
 from repro.core.config import UTCQConfig
 from repro.core.decoder import blob_m, decode_instance_partial, decode_timestamps
 from repro.core.encoder import CompressedTrajectory
-from repro.core.model import TedTuple, ted_to_instance
+from repro.core.model import TedTuple, ted_path, ted_to_instance
 from repro.query.reference import PathGeometry, _time_at
-from repro.query.stiu import path_structure
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid import Rect, SpatialGrid
 
@@ -84,24 +83,16 @@ class UTCQEngine:
     def from_trajectories(
         cls, net: RoadNetwork, cfg: UTCQConfig, trajs
     ) -> "UTCQEngine":
-        """Driver-side construction (compress + index without Spark) —
-        used by unit tests and latency benchmarks."""
-        from repro.core.compress_job import network_grid
-        from repro.core.encoder import compress_trajectory
-        from repro.core.model import instance_to_ted
-        from repro.query.stiu import build_traj_tuples
+        """Driver-side construction: the compression job's per-trajectory
+        kernel without Spark — used by unit tests and latency benchmarks."""
+        from repro.core.compress_job import compress_and_index, network_grid
 
         grid = network_grid(net, cfg.grid_n)
         duration_s = cfg.time_partition_min * 60
         entries: dict[int, TrajIndexEntry] = {}
         for traj in trajs:
-            ct = compress_trajectory(net, traj, cfg)
-            teds = {
-                i: instance_to_ted(net, inst)
-                for i, inst in enumerate(traj.instances)
-            }
-            temporal, spatial = build_traj_tuples(
-                net, grid, duration_s, teds, ct.ref_of, ct, traj.timestamps()
+            ct, temporal, spatial = compress_and_index(
+                net, grid, duration_s, traj.to_ted(net), cfg
             )
             entries[traj.traj_id] = TrajIndexEntry(ct, temporal, spatial)
         return cls(net, cfg, grid, entries)
@@ -157,7 +148,7 @@ class UTCQEngine:
         br = self._bracket(entry, t)
         if br is None:
             return []
-        k, tk, tk1, m = br
+        k, tk, tk1, _ = br
         cache: dict[int, TedTuple] = {}
         out = []
         for inst_id in sorted(entry.ct.probs):
@@ -165,12 +156,7 @@ class UTCQEngine:
                 continue
             inst = self._decode(entry, inst_id, cache)
             geo = PathGeometry.of(self.net, inst)
-            p0, p1 = geo.point_pos[k], geo.point_pos[min(k + 1, m - 1)]
-            if tk1 == tk:
-                pos = p0
-            else:
-                pos = p0 + (p1 - p0) * (t - tk) / (tk1 - tk)
-            u, v, nd = geo.location_of(pos)
+            u, v, nd = geo.location_of(geo.pos_between(k, tk, tk1, t))
             out.append((inst_id, u, v, nd))
         return out
 
@@ -305,7 +291,7 @@ class UTCQEngine:
                 entry.ct, self.cfg, self.net.max_out_degree, inst_id, cache,
                 need_d=False,
             )
-            verts, pt_edges = path_structure(self.net, ted)
+            verts, pt_edges = ted_path(self.net, ted)
             e0 = pt_edges[k]
             e1 = pt_edges[min(k + 1, m - 1)]
             poly = [self.net.coords[v] for v in verts[e0 : e1 + 2]]
@@ -320,10 +306,5 @@ class UTCQEngine:
         # interpolated position.
         inst = self._decode(entry, inst_id, cache)
         geo = PathGeometry.of(self.net, inst)
-        p0, p1 = geo.point_pos[k], geo.point_pos[min(k + 1, m - 1)]
-        if tk1 == tk:
-            pos = p0
-        else:
-            pos = p0 + (p1 - p0) * (tq - tk) / (tk1 - tk)
-        x, y = geo.coords_of(pos)
+        x, y = geo.coords_of(geo.pos_between(k, tk, tk1, tq))
         return rect.contains(x, y)

@@ -49,11 +49,17 @@ class PathGeometry:
         k = bisect_right(tss, t) - 1
         if k >= len(tss) - 1:
             return self.point_pos[-1]
-        t0, t1 = tss[k], tss[k + 1]
-        p0, p1 = self.point_pos[k], self.point_pos[k + 1]
-        if t1 == t0:
+        return self.pos_between(k, tss[k], tss[k + 1], t)
+
+    def pos_between(self, k: int, tk: float, tk1: float, t: float) -> float:
+        """Path-distance at time ``t`` interpolated between sample point
+        ``k`` (at ``tk``) and sample point ``k + 1`` (at ``tk1``); sample
+        point ``k`` when ``tk1 == tk``."""
+        p0 = self.point_pos[k]
+        if tk1 == tk:
             return p0
-        return p0 + (p1 - p0) * (t - t0) / (t1 - t0)
+        p1 = self.point_pos[k + 1]
+        return p0 + (p1 - p0) * (t - tk) / (tk1 - tk)
 
     def location_of(self, pos: float) -> tuple[int, int, float]:
         """(vs, ve, ndist): the mapped location at path-distance ``pos``."""

@@ -27,30 +27,9 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from repro.core.encoder import CompressedTrajectory
-from repro.core.model import TedTuple
+from repro.core.model import TedTrajectory, ted_path
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid import SpatialGrid
-
-
-def path_vertices(net: RoadNetwork, sv: int, entries: list[int]) -> list[int]:
-    verts = [sv]
-    for no in entries:
-        if no > 0:
-            verts.append(net.out_edge(verts[-1], no))
-    return verts
-
-
-def path_structure(net: RoadNetwork, ted: TedTuple) -> tuple[list[int], list[int]]:
-    """(path vertices, path-edge index of each sample point) from SV, E and
-    T′ alone — no relative distances needed."""
-    pt_edges: list[int] = []
-    edge_j = -1
-    for no, flag in zip(ted.entries, ted.tflag):
-        if no > 0:
-            edge_j += 1
-        if flag:
-            pt_edges.append(edge_j)
-    return path_vertices(net, ted.sv, ted.entries), pt_edges
 
 
 def visits_of(
@@ -90,18 +69,15 @@ def build_traj_tuples(
     net: RoadNetwork,
     grid: SpatialGrid,
     duration_s: int,
-    teds: dict[int, TedTuple],
-    ref_of: dict[int, int],
+    traj: TedTrajectory,
     ct: CompressedTrajectory,
-    timestamps: list[int],
 ) -> tuple[list[dict], list[dict]]:
-    """All StIU tuples for one compressed trajectory.
-
-    ``teds`` maps instance id → improved-TED representation (available in
-    the compression kernel); ``ct`` supplies the SIAR delta offsets and the
-    stored (quantized) probabilities that queries compare with α.
+    """All StIU tuples for one trajectory, from its improved-TED form
+    (available in the compression kernel) and its compressed form ``ct``,
+    which supplies the references, the SIAR delta offsets and the stored
+    (quantized) probabilities that queries compare with α.
     """
-    tss = timestamps
+    tss = traj.timestamps()
     m = len(tss)
 
     # ---- temporal tuples -------------------------------------------------
@@ -127,15 +103,15 @@ def build_traj_tuples(
 
     # ---- per instance: region → (entry vertex, t_enter, t_exit) ----------
     visits: dict[int, dict[int, tuple[int, int, int]]] = {}
-    for i, ted in teds.items():
-        verts, pt_edges = path_structure(net, ted)
+    for i, ted in enumerate(traj.teds):
+        verts, pt_edges = ted_path(net, ted)
         visits[i] = {
             region: (verts[max(0, k0 - 1)], *_visit_window(tss, pt_edges, k0, k1))
             for region, k0, k1 in visits_of(net, grid, verts)
         }
 
     groups: dict[int, list[int]] = {}
-    for i, r in ref_of.items():
+    for i, r in ct.ref_of.items():
         groups.setdefault(r, []).append(i)
 
     spatial: list[dict] = []

@@ -102,34 +102,6 @@ class RoadNetwork:
         return self.lengths[(u, v)]
 
     # -- paths -------------------------------------------------------------
-    def path_vertices(self, sv: int, out_nos: list[int]) -> list[int]:
-        """Expand a start vertex + outgoing numbers into the vertex path."""
-        path = [sv]
-        for no in out_nos:
-            path.append(self.out_edge(path[-1], no))
-        return path
-
-    def path_edges(self, sv: int, out_nos: list[int]) -> list[tuple[int, int]]:
-        vs = self.path_vertices(sv, out_nos)
-        return list(zip(vs[:-1], vs[1:]))
-
-    def out_nos_of_path(self, edges: list[tuple[int, int]]) -> list[int]:
-        return [self.out_no(u, v) for u, v in edges]
-
-    def alt_path(
-        self, u: int, v: int, forbidden_first: int, max_depth: int = 4
-    ) -> list[int] | None:
-        """Shortest alternative vertex path ``u → … → v`` (BFS, ≤ max_depth
-        edges) whose first hop is not ``forbidden_first``.
-
-        Used by the trajectory generator to emulate probabilistic
-        map-matching alternatives (a detour that rejoins the base path).
-        Returns the vertex list including both endpoints, or None.
-        """
-        for p in self.alt_paths(u, v, forbidden_first, max_depth, limit=1):
-            return p
-        return None
-
     def alt_paths(
         self,
         u: int,

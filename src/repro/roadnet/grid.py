@@ -111,13 +111,3 @@ class SpatialGrid:
         return self.cells_overlapping(
             Rect(re.x0 - margin, re.y0 - margin, re.x1 + margin, re.y1 + margin)
         )
-
-    def rect_of_cells(self, cells: list[int]) -> Rect:
-        """Bounding rectangle of a cell set — ``re_total`` for Lemma 4."""
-        rects = [self.cell_rect(c) for c in cells]
-        return Rect(
-            min(r.x0 for r in rects),
-            min(r.y0 for r in rects),
-            max(r.x1 for r in rects),
-            max(r.y1 for r in rects),
-        )

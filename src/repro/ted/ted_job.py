@@ -19,7 +19,6 @@ from pyspark.sql import functions as F
 
 from repro.bits import bits_needed
 from repro.core.config import UTCQConfig
-from repro.core.model import TedTuple
 from repro.roadnet.graph import RoadNetwork
 from repro.ted.matrix import compress_group
 from repro.ted.ted_encode import (
@@ -29,6 +28,7 @@ from repro.ted.ted_encode import (
     ted_instance_sizes,
     ted_time_pairs,
 )
+from repro.trajgen.spark_io import group_to_ted
 
 STAGE1_SCHEMA = (
     "traj_id long, inst_id int, m int, e_len int, e_code string, "
@@ -52,14 +52,7 @@ def ted_compress_dataset(
 ) -> DataFrame:
     """Run both TED stages; returns per-instance rows with final sizes."""
     be = bits_needed(net.max_out_degree + 1)
-    eta_d, eta_p = cfg.eta_d, cfg.eta_p
-
-    joined = instances.join(times, on="traj_id", how="inner")
-
-    def stage1(pdf: pd.DataFrame) -> pd.DataFrame:
-        return _encode_group(pdf, be, eta_d, eta_p)
-
-    encoded = joined.groupBy("traj_id").applyInPandas(stage1, schema=STAGE1_SCHEMA)
+    encoded = _stage1(instances, times, net, cfg)
 
     def stage2(pdf: pd.DataFrame) -> pd.DataFrame:
         t0 = time.perf_counter()
@@ -96,51 +89,42 @@ def ted_compressed_payloads(
     cfg: UTCQConfig,
 ) -> DataFrame:
     """Per-instance self-contained payloads for the TED query baseline."""
+    return _stage1(instances, times, net, cfg).select(
+        "traj_id", "inst_id", "payload"
+    )
+
+
+def _stage1(
+    instances: DataFrame, times: DataFrame, net: RoadNetwork, cfg: UTCQConfig
+) -> DataFrame:
+    """Stage 1: one :func:`_encode_group` call per trajectory."""
     be = bits_needed(net.max_out_degree + 1)
-    eta_d, eta_p = cfg.eta_d, cfg.eta_p
     joined = instances.join(times, on="traj_id", how="inner")
 
     def stage1(pdf: pd.DataFrame) -> pd.DataFrame:
-        out = _encode_group(pdf, be, eta_d, eta_p)
-        return out[["traj_id", "inst_id", "m", "payload"]]
+        return _encode_group(pdf, be, cfg.eta_d, cfg.eta_p)
 
-    schema = "traj_id long, inst_id int, m int, payload binary"
-    return joined.groupBy("traj_id").applyInPandas(stage1, schema=schema)
+    return joined.groupBy("traj_id").applyInPandas(stage1, schema=STAGE1_SCHEMA)
 
 
 def _encode_group(
     pdf: pd.DataFrame, be: int, eta_d: float, eta_p: float
 ) -> pd.DataFrame:
     t_start = time.perf_counter()
-    pdf = pdf.sort_values("inst_id")
-    t0 = int(pdf["t0"].iloc[0])
-    ts = int(pdf["ts"].iloc[0])
-    deltas = [int(x) for x in pdf["deltas"].iloc[0]]
-    m = len(deltas) + 1
-    tss = [t0]
-    for d in deltas:
-        tss.append(tss[-1] + ts + d)
-
-    pairs = ted_time_pairs(tss)
-    comp_t = TED_PAIR_BITS * len(pairs)
+    traj = group_to_ted(pdf)
+    m = traj.num_points
+    comp_t = TED_PAIR_BITS * len(ted_time_pairs(traj.timestamps()))
     orig_t = 32 * m
 
     rows = []
-    n_inst = len(pdf)
-    for r in pdf.itertuples():
-        ted = TedTuple(
-            int(r.sv),
-            [int(x) for x in r.e],
-            [int(x) for x in r.tflag],
-            [float(x) for x in r.d],
-            float(r.prob),
-        )
+    n_inst = len(traj.teds)
+    for inst_id, ted in enumerate(traj.teds):
         sizes = ted_instance_sizes(ted, m, be, eta_d, eta_p)
         code = e_bitstring(ted, be)
         rows.append(
             {
-                "traj_id": int(r.traj_id),
-                "inst_id": int(r.inst_id),
+                "traj_id": traj.traj_id,
+                "inst_id": inst_id,
                 "m": m,
                 "e_len": len(code),
                 "e_code": code,

@@ -9,11 +9,16 @@ identical to ``repro.query.reference`` on the decoded data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bits import bits_needed
 from repro.core.config import UTCQConfig
-from repro.core.model import UncertainTrajectory, ted_to_instance
+from repro.core.model import (
+    TedTrajectory,
+    UncertainTrajectory,
+    ted_path,
+    ted_to_instance,
+)
 from repro.query.reference import (
     range_query_ref,
     when_query_ref,
@@ -21,7 +26,7 @@ from repro.query.reference import (
 )
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid import Rect, SpatialGrid
-from repro.ted.ted_encode import decode_instance_payload
+from repro.ted.ted_encode import decode_instance_payload, encode_instance_payload
 
 
 @dataclass
@@ -33,9 +38,30 @@ class TedTrajBlob:
     deltas: list[int]
     payloads: list[bytes]  # per instance, inst_id order
     m: int
-    regions: set[int] = field(default_factory=set)
-    t_first: int = 0
-    t_last: int = 0
+    regions: set[int]
+    t_first: int
+    t_last: int
+
+
+def _traj_blob(
+    net: RoadNetwork,
+    grid: SpatialGrid,
+    traj: TedTrajectory,
+    payloads: list[bytes],
+) -> TedTrajBlob:
+    """A trajectory's payloads with its coarse spatial index: the regions
+    touched by any instance (built during compression, as TED does for
+    accurate trajectories) and its time span."""
+    regions = {
+        grid.cell_of(*net.coords[v])
+        for ted in traj.teds
+        for v in ted_path(net, ted)[0]
+    }
+    tss = traj.timestamps()
+    return TedTrajBlob(
+        traj.t0, traj.ts, traj.deltas, payloads, traj.num_points,
+        regions, tss[0], tss[-1],
+    )
 
 
 class TEDBaselineEngine:
@@ -58,6 +84,23 @@ class TEDBaselineEngine:
                 self.region_index.setdefault(region, set()).add(tid)
 
     @classmethod
+    def from_trajectories(
+        cls, net: RoadNetwork, cfg: UTCQConfig, grid: SpatialGrid, trajs
+    ) -> "TEDBaselineEngine":
+        """Driver-side construction (encode without Spark) — used by the
+        latency benchmarks."""
+        be = bits_needed(net.max_out_degree + 1)
+        blobs: dict[int, TedTrajBlob] = {}
+        for t in trajs:
+            traj = t.to_ted(net)
+            payloads = [
+                encode_instance_payload(ted, be, cfg.eta_d, cfg.eta_p)
+                for ted in traj.teds
+            ]
+            blobs[t.traj_id] = _traj_blob(net, grid, traj, payloads)
+        return cls(net, cfg, grid, blobs)
+
+    @classmethod
     def from_dfs(
         cls,
         payloads_df,
@@ -66,40 +109,29 @@ class TEDBaselineEngine:
         cfg: UTCQConfig,
         grid: SpatialGrid,
     ) -> "TEDBaselineEngine":
+        """Load the payloads of :func:`repro.ted.ted_job.ted_compressed_payloads`
+        and the time rows."""
         times = {
             int(r.traj_id): (int(r.t0), int(r.ts), [int(x) for x in r.deltas])
             for r in times_df.collect()
         }
         rows: dict[int, list] = {}
-        ms: dict[int, int] = {}
         for r in payloads_df.collect():
             rows.setdefault(int(r.traj_id), []).append(
                 (int(r.inst_id), bytes(r.payload))
             )
-            ms[int(r.traj_id)] = int(r.m)
-        blobs: dict[int, TedTrajBlob] = {}
         be = bits_needed(net.max_out_degree + 1)
+        blobs: dict[int, TedTrajBlob] = {}
         for tid, lst in rows.items():
             t0, ts, deltas = times[tid]
-            lst.sort()
-            blob = TedTrajBlob(
-                t0, ts, deltas, [p for _, p in lst], ms[tid]
-            )
-            tss = [t0]
-            for d in deltas:
-                tss.append(tss[-1] + ts + d)
-            blob.t_first, blob.t_last = tss[0], tss[-1]
-            # coarse spatial index: regions touched by any instance (built
-            # during compression, as TED does for accurate trajectories)
-            for _, payload in lst:
-                ted = decode_instance_payload(
-                    payload, blob.m, be, cfg.eta_d, cfg.eta_p
-                )
-                inst = ted_to_instance(net, ted)
-                verts = [inst.path[0][0]] + [e[1] for e in inst.path]
-                for v in verts:
-                    blob.regions.add(grid.cell_of(*net.coords[v]))
-            blobs[tid] = blob
+            payloads = [p for _, p in sorted(lst)]
+            m = len(deltas) + 1
+            teds = [
+                decode_instance_payload(p, m, be, cfg.eta_d, cfg.eta_p)
+                for p in payloads
+            ]
+            traj = TedTrajectory(tid, t0, deltas, ts, teds)
+            blobs[tid] = _traj_blob(net, grid, traj, payloads)
         return cls(net, cfg, grid, blobs)
 
     # -- full decompression of one trajectory ------------------------------

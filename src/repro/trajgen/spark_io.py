@@ -15,7 +15,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
-from repro.core.model import TedTuple, UncertainTrajectory, instance_to_ted
+from repro.core.model import TedTrajectory, TedTuple, UncertainTrajectory
 from repro.roadnet.generator import NETWORK_PROFILES, grid_network
 from repro.roadnet.graph import RoadNetwork
 from repro.trajgen.profiles import DATASET_PROFILES, DatasetProfile
@@ -58,8 +58,7 @@ def trajectories_to_pandas(
                 "deltas": list(traj.deltas),
             }
         )
-        for i, inst in enumerate(traj.instances):
-            t = instance_to_ted(net, inst)
+        for i, t in enumerate(traj.to_ted(net).teds):
             inst_rows.append(
                 {
                     "traj_id": traj.traj_id,
@@ -114,12 +113,13 @@ def _gen_rows(
     return trajectories_to_pandas(net, trajs)
 
 
-def pandas_to_trajectories(
-    inst_pdf: pd.DataFrame, t0: int, ts: int, deltas: list[int]
-) -> tuple[list[TedTuple], int]:
-    """Grouped instance rows (one trajectory) → TedTuples, sorted by
-    ``inst_id``.  Used inside ``applyInPandas`` compression kernels."""
-    inst_pdf = inst_pdf.sort_values("inst_id")
+def group_to_ted(pdf: pd.DataFrame) -> TedTrajectory:
+    """One trajectory's instance rows joined with its time row → its TED
+    form, instances sorted by ``inst_id``.  The compressors'
+    ``applyInPandas`` kernels read their groups through this alone."""
+    pdf = pdf.sort_values("inst_id")
+    if pdf["inst_id"].tolist() != list(range(len(pdf))):
+        raise ValueError("inst_id of one trajectory must run 0..n-1")
     teds = [
         TedTuple(
             int(r.sv),
@@ -128,9 +128,16 @@ def pandas_to_trajectories(
             [float(x) for x in r.d],
             float(r.prob),
         )
-        for r in inst_pdf.itertuples()
+        for r in pdf.itertuples()
     ]
-    return teds, len(deltas) + 1
+    first = pdf.iloc[0]
+    return TedTrajectory(
+        int(first["traj_id"]),
+        int(first["t0"]),
+        [int(x) for x in first["deltas"]],
+        int(first["ts"]),
+        teds,
+    )
 
 
 def expand_points(
@@ -160,15 +167,4 @@ def expand_points(
                         "prob": inst.prob,
                     }
                 )
-    return pd.DataFrame(rows)
-
-
-def expand_instances(trajs: list[UncertainTrajectory]) -> pd.DataFrame:
-    """Oracle table: one row per instance with its probability."""
-    rows = [
-        {"traj_id": t.traj_id, "inst_id": i, "prob": inst.prob,
-         "sv": inst.sv, "n_edges": len(inst.path)}
-        for t in trajs
-        for i, inst in enumerate(t.instances)
-    ]
     return pd.DataFrame(rows)

@@ -2,6 +2,7 @@
 import pytest
 
 from repro.core.compress_job import (
+    _compress_group,
     compress_dataset,
     ct_from_row,
     network_grid,
@@ -9,6 +10,7 @@ from repro.core.compress_job import (
 )
 from repro.core.config import DATASET_CONFIGS
 from repro.core.decoder import decode_trajectory
+from repro.core.encoder import compress_trajectory
 from repro.core.model import instance_to_ted
 from repro.oracle import assert_equivalent
 from repro.query.queries import UTCQEngine
@@ -154,6 +156,28 @@ class TestTypedRow:
             assert g.ct.inst_offsets == w.ct.inst_offsets
             assert g.temporal == w.temporal
             assert g.spatial == w.spatial
+
+
+class TestRowReader:
+    def test_rows_in_reverse_inst_id_order_give_the_same_blob(self, net, trajs):
+        # A group's rows reach the kernel in no set order; the row reader
+        # sorts them by inst_id.
+        multi = [t for t in trajs if len(t.instances) > 1][:3]
+        assert multi
+        inst_pdf, times_pdf = trajectories_to_pandas(net, multi)
+        joined = inst_pdf.merge(times_pdf, on="traj_id")
+        grid = network_grid(net, CFG.grid_n)
+        duration_s = CFG.time_partition_min * 60
+        for t in multi:
+            pdf = joined[joined["traj_id"] == t.traj_id]
+            fwd = _compress_group(pdf, net, grid, duration_s, CFG).iloc[0]
+            rev = _compress_group(pdf.iloc[::-1], net, grid, duration_s, CFG).iloc[0]
+            assert rev["blob"] == fwd["blob"] == compress_trajectory(net, t, CFG).blob
+            for col in ("nbits", "insts", "tindex", "sindex"):
+                assert rev[col] == fwd[col], col
+        # Instance ids are positions in the blob, so a gap is rejected.
+        with pytest.raises(ValueError):
+            _compress_group(pdf.iloc[1:], net, grid, duration_s, CFG)
 
 
 class TestAggregationOracle:

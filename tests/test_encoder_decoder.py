@@ -6,10 +6,14 @@ from repro.core.decoder import (
     decode_instance_partial,
     decode_times_from,
     decode_trajectory,
-    timestamps_from_anchor,
 )
 from repro.core.encoder import compress_trajectory, encode_trajectory
-from repro.core.model import Instance, UncertainTrajectory, instance_to_ted
+from repro.core.model import (
+    Instance,
+    UncertainTrajectory,
+    instance_to_ted,
+    siar_timestamps,
+)
 from repro.core.refselect import ReferenceAssignment
 from repro.examples.fig2 import V1, V2, V3, V4, fig2_network, fig2_trajectory
 
@@ -115,7 +119,7 @@ class TestPartialDecoding:
 
     def test_timestamps_from_anchor(self, traj):
         full = traj.timestamps()
-        rebuilt = timestamps_from_anchor(full[2], traj.ts, traj.deltas[2:])
+        rebuilt = siar_timestamps(full[2], traj.ts, traj.deltas[2:])
         assert rebuilt == full[2:]
 
     def test_inst_offsets_kinds(self, ct):
@@ -163,7 +167,7 @@ class TestEdgeCases:
         teds = [instance_to_ted(net, i) for i in t.instances]
         assert len(teds[1].entries) == 2 and teds[0].trimmed_tflag()
         ct2 = encode_trajectory(
-            net, t, teds, ReferenceAssignment({0: [1]}), CFG
+            net, t.to_ted(net), ReferenceAssignment({0: [1]}), CFG
         )
         full = decode_trajectory(ct2, CFG, net.max_out_degree)
         cache = {}

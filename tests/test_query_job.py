@@ -70,6 +70,15 @@ class TestSparkRangeJob:
             for tq in (trajs[2].t0 + 45, trajs[8].t0 + 10):
                 assert ted.range(rect, tq, alpha) == engine.range(rect, tq, alpha)
 
+    def test_ted_engine_from_dfs_matches_from_trajectories(self, setup):
+        # Payload bytes, regions, t_first/t_last and the time sequence.
+        net, trajs, _, _, _, ted = setup
+        want = TEDBaselineEngine.from_trajectories(
+            net, CFG, network_grid(net, CFG.grid_n), trajs
+        )
+        assert sorted(ted.blobs) == sorted(want.blobs) == [t.traj_id for t in trajs]
+        assert ted.blobs == want.blobs
+
     def test_ted_where_when_agree(self, setup):
         net, trajs, _, _, engine, ted = setup
         for traj in trajs[:8]:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.bits import quantize
 from repro.core.model import instance_to_ted
 from repro.core.referential import (
     Factor,
@@ -14,6 +15,8 @@ from repro.core.referential import (
     factorize_tflag,
 )
 from repro.examples.fig2 import fig2_network, fig2_trajectory
+
+BD = 7  # the D width at η_D = 1/128
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +41,8 @@ class TestTable4:
 
     def test_com_d(self, teds):
         # ComD: ∅ for Nref¹₁₁ and ⟨(6, 0.5)⟩ for Nref¹₁₂
-        assert diff_d(teds[0].d, teds[1].d) == []
-        assert diff_d(teds[0].d, teds[2].d) == [(6, 0.5)]
+        assert diff_d(teds[0].d, teds[1].d, BD) == []
+        assert diff_d(teds[0].d, teds[2].d, BD) == [(6, 0.5)]
 
     def test_com_tflag(self, teds):
         # ComT′: ⟨(1,2),(3,4)⟩ for Nref¹₁₁ and ∅ for Nref¹₁₂
@@ -114,14 +117,16 @@ class TestRoundTripsTflag:
 
 class TestD:
     def test_diff_positions(self):
-        assert diff_d([0.1, 0.2, 0.3], [0.1, 0.25, 0.3]) == [(1, 0.25)]
+        assert diff_d([0.1, 0.2, 0.3], [0.1, 0.25, 0.3], BD) == [(1, 0.25)]
+        # values on the same η_D grid point are not a difference
+        assert diff_d([0.1, 0.2], [0.1, 0.201], BD) == []
 
     def test_apply(self):
         assert apply_d([0.1, 0.2], [(0, 0.9)]) == [0.9, 0.2]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            diff_d([0.1], [0.1, 0.2])
+            diff_d([0.1], [0.1, 0.2], BD)
 
     @given(
         st.lists(st.floats(min_value=0, max_value=0.999), min_size=1, max_size=20),
@@ -135,4 +140,5 @@ class TestD:
                 max_size=len(ref),
             )
         )
-        assert apply_d(ref, diff_d(ref, target)) == target
+        got = apply_d(ref, diff_d(ref, target, BD))
+        assert [quantize(x, BD) for x in got] == [quantize(x, BD) for x in target]

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from repro.core.model import TedTuple, ted_path
 from repro.roadnet import (
     NETWORK_PROFILES,
     Rect,
@@ -65,9 +66,9 @@ class TestPaths:
             v = net.adj[u][0]
             edges.append((u, v))
             u = v
-        nos = net.out_nos_of_path(edges)
-        assert net.path_edges(sv, nos) == edges
-        assert net.path_vertices(sv, nos)[0] == sv
+        nos = [net.out_no(u, v) for u, v in edges]
+        verts, _ = ted_path(net, TedTuple(sv, nos, [1] * len(nos), [], 1.0))
+        assert list(zip(verts[:-1], verts[1:])) == edges
         assert all(no >= 1 for no in nos)
 
     def test_alt_path_first_hop_differs(self, net):
@@ -76,7 +77,9 @@ class TestPaths:
             if len(net.adj[u]) >= 2:
                 v0 = net.adj[u][0]
                 for w in net.adj.get(v0, []):
-                    alt = net.alt_path(u, w, forbidden_first=v0, max_depth=4)
+                    alt = next(
+                        net.alt_paths(u, w, forbidden_first=v0, max_depth=4), None
+                    )
                     if alt is not None:
                         assert alt[0] == u and alt[-1] == w
                         assert alt[1] != v0
@@ -88,7 +91,7 @@ class TestPaths:
 
     def test_alt_path_none_when_impossible(self):
         g = RoadNetwork(coords={1: (0, 0), 2: (1, 0)}, adjacency={1: [2], 2: [1]})
-        assert g.alt_path(1, 2, forbidden_first=2, max_depth=3) is None
+        assert list(g.alt_paths(1, 2, forbidden_first=2, max_depth=3)) == []
 
 
 class TestGenerator:
@@ -171,14 +174,6 @@ class TestSpatialGrid:
         cells = g.cells_overlapping(Rect(10, 10, 40, 40))
         assert set(cells) == {0, 1, 4, 5}
         assert g.cells_overlapping(Rect(0, 0, 100, 100)) == list(range(16))
-
-    def test_rect_of_cells_is_superset(self):
-        g = SpatialGrid(Rect(0, 0, 100, 100), 4, 4)
-        re = Rect(10, 10, 40, 60)
-        cells = g.cells_overlapping(re)
-        total = g.rect_of_cells(cells)
-        assert total.x0 <= re.x0 and total.y0 <= re.y0
-        assert total.x1 >= re.x1 and total.y1 >= re.y1
 
     def test_bad_cell(self):
         g = SpatialGrid(Rect(0, 0, 100, 100), 2, 2)

@@ -5,14 +5,9 @@ from repro.core.compress_job import network_grid
 from repro.core.config import UTCQConfig
 from repro.core.decoder import decode_times_from
 from repro.core.encoder import compress_trajectory
-from repro.core.model import instance_to_ted
+from repro.core.model import instance_to_ted, ted_path
 from repro.examples.fig2 import fig2_network, fig2_trajectory
-from repro.query.stiu import (
-    build_traj_tuples,
-    index_size_bits,
-    path_vertices,
-    visits_of,
-)
+from repro.query.stiu import build_traj_tuples, index_size_bits, visits_of
 
 CFG = UTCQConfig(n_pivots=1, grid_n=8, time_partition_min=15)
 
@@ -25,8 +20,7 @@ def built():
     teds = {i: instance_to_ted(net, inst) for i, inst in enumerate(traj.instances)}
     grid = network_grid(net, CFG.grid_n)
     temporal, spatial = build_traj_tuples(
-        net, grid, CFG.time_partition_min * 60,
-        teds, ct.ref_of, ct, traj.timestamps(),
+        net, grid, CFG.time_partition_min * 60, traj.to_ted(net), ct
     )
     return net, traj, ct, teds, grid, temporal, spatial
 
@@ -35,14 +29,14 @@ class TestHelpers:
     def test_path_vertices(self, built):
         net, traj, *_ = built
         ted = instance_to_ted(net, traj.instances[0])
-        verts = path_vertices(net, ted.sv, ted.entries)
+        verts, _ = ted_path(net, ted)
         assert verts[0] == 185190
         assert verts[-1] == 228479
         assert len(verts) == 8
 
     def test_visits_first_only(self, built):
         net, traj, ct, teds, grid, *_ = built
-        verts = path_vertices(net, teds[0].sv, teds[0].entries)
+        verts, _ = ted_path(net, teds[0])
         visits = visits_of(net, grid, verts)
         regions = [r for r, _, _ in visits]
         assert len(regions) == len(set(regions))  # first visit per region
