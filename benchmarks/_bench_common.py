@@ -1,18 +1,9 @@
-"""Shared harness for the Table 8 benchmarks.
-
-Each dataset bench runs the UTCQ and TED Spark compression jobs once
-(``benchmark.pedantic(rounds=1)`` — the jobs are deterministic and heavy),
-prints the Table 8 row pair, and asserts the paper's *shape*: UTCQ beats
-TED by ≥2× on total compression ratio and is the faster compressor.
-"""
+"""Shared helpers for the benchmarks."""
 from __future__ import annotations
-
-import sys
-import time
 
 
 class Announcer:
-    """Prints through ``capfd.disabled()`` so the Table 8 rows land in
+    """Prints through ``capfd.disabled()`` so the table rows land in
     ``bench_output.txt`` even on passing runs (pytest's fd-level capture
     swallows ordinary prints of passing tests)."""
 
@@ -25,62 +16,3 @@ class Announcer:
             return
         with self.capfd.disabled():
             print(msg, flush=True)
-
-
-def run_table8(spark, name: str, benchmark, capfd=None, n_traj: int | None = None):
-    from repro.core.compress_job import compress_dataset, ratio_summary
-    from repro.core.config import DATASET_CONFIGS
-    from repro.ted.ted_job import ted_compress_dataset, ted_ratio_summary
-    from repro.trajgen import DATASET_PROFILES
-    from repro.trajgen.spark_io import dataset_df
-
-    prof = DATASET_PROFILES[name]
-    cfg = DATASET_CONFIGS[name]
-    instances, times, net = dataset_df(spark, prof, n_traj=n_traj)
-    instances = instances.cache()
-    times = times.cache()
-    n_inst = instances.count()
-    times.count()
-
-    result = {}
-
-    def utcq_job():
-        t0 = time.perf_counter()
-        df = compress_dataset(spark, instances, times, net, cfg)
-        result["utcq"] = ratio_summary(df)
-        result["utcq_s"] = time.perf_counter() - t0
-
-    benchmark.pedantic(utcq_job, rounds=1, iterations=1)
-
-    t0 = time.perf_counter()
-    ted_df = ted_compress_dataset(spark, instances, times, net, cfg)
-    result["ted"] = ted_ratio_summary(ted_df)
-    result["ted_s"] = time.perf_counter() - t0
-
-    announce = Announcer(capfd)
-    utcq, ted = result["utcq"], result["ted"]
-    announce(f"\n=== Table 8 row [{name}] ({n_inst} instances) ===")
-    announce(
-        f"{'method':6} {'Total':>8} {'T':>8} {'E':>8} {'D':>8} {'Tp':>8} "
-        f"{'p':>8} {'job_s':>7} {'kern_s':>7}"
-    )
-    for label, s, secs in (("UTCQ", utcq, result["utcq_s"]), ("TED", ted, result["ted_s"])):
-        announce(
-            f"{label:6} {s['Total']:8.3f} {s['T']:8.3f} {s['E']:8.3f} "
-            f"{s['D']:8.3f} {s['Tp']:8.3f} {s['p']:8.3f} {secs:7.1f} "
-            f"{s['kernel_ms'] / 1e3:7.1f}"
-        )
-
-    # ---- paper-shape assertions (Table 8) -------------------------------
-    # Paper: UTCQ beats TED by >2–3× on total CR; our lite datasets land
-    # at ≈2–2.5× (EXPERIMENTS.md discusses the residual gap).
-    assert utcq["Total"] > 1.8 * ted["Total"], "UTCQ must beat TED ~2x on total CR"
-    assert utcq["T"] > ted["T"], "SIAR must beat TED's time pairs"
-    assert utcq["E"] > ted["E"], "referential E must beat TED's E"
-    assert utcq["D"] > ted["D"], "referential D must beat per-instance PDDP"
-    assert utcq["Tp"] > ted["Tp"], "referential T' must beat raw bit-strings"
-    assert utcq["p"] >= ted["p"] - 1e-9, "probability encoding is shared"
-    assert utcq["kernel_ms"] < ted["kernel_ms"], "UTCQ kernels must be faster"
-    instances.unpersist()
-    times.unpersist()
-    return result

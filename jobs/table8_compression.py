@@ -6,40 +6,16 @@ Prints one row per (dataset, method) with the same structure as the paper's
 Table 8: Total / T / E / D / T' / p compression ratios plus wall-clock job
 time.  The rows are recorded against the paper's numbers in EXPERIMENTS.md.
 """
-import sys
-import time
+import argparse
 
 from _common import get_spark, print_table
 
 
-def run_dataset(spark, name: str, n_traj: int | None):
-    from repro.core.compress_job import compress_dataset, ratio_summary
-    from repro.core.config import DATASET_CONFIGS
-    from repro.ted.ted_job import ted_compress_dataset, ted_ratio_summary
-    from repro.trajgen import DATASET_PROFILES
-    from repro.trajgen.spark_io import dataset_df
-
-    prof = DATASET_PROFILES[name]
-    cfg = DATASET_CONFIGS[name]
-    instances, times, net = dataset_df(spark, prof, n_traj=n_traj)
-    instances = instances.cache()
-    times = times.cache()
-    n_inst = instances.count()
-    times.count()
-
-    t0 = time.perf_counter()
-    utcq_df = compress_dataset(spark, instances, times, net, cfg)
-    utcq = ratio_summary(utcq_df)  # aggregation triggers the job
-    utcq_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    ted_df = ted_compress_dataset(spark, instances, times, net, cfg)
-    ted = ted_ratio_summary(ted_df)
-    ted_s = time.perf_counter() - t0
-
-    instances.unpersist()
-    times.unpersist()
-    return n_inst, (utcq, utcq_s), (ted, ted_s)
+def parse_args(argv=None) -> argparse.Namespace:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("datasets", nargs="*", default=["dk", "cd", "hz"])
+    p.add_argument("--n-traj", type=int, default=None)
+    return p.parse_args(argv)
 
 
 def fmt_row(name, method, s, secs):
@@ -52,19 +28,16 @@ def fmt_row(name, method, s, secs):
 
 
 def main() -> None:
-    args = [a for a in sys.argv[1:] if not a.startswith("--")]
-    n_traj = None
-    if "--n-traj" in sys.argv:
-        n_traj = int(sys.argv[sys.argv.index("--n-traj") + 1])
-    datasets = args or ["dk", "cd", "hz"]
+    from repro.stats import table8_stats
 
+    args = parse_args()
     spark = get_spark("table8")
     rows = []
-    for name in datasets:
-        n_inst, (utcq, utcq_s), (ted, ted_s) = run_dataset(spark, name, n_traj)
-        print(f"[{name}] {n_inst} instances compressed")
-        rows.append(fmt_row(name, "UTCQ", utcq, utcq_s))
-        rows.append(fmt_row(name, "TED", ted, ted_s))
+    for name in args.datasets:
+        st = table8_stats(spark, name, args.n_traj)
+        print(f"[{name}] {st['n_inst']} instances compressed")
+        for method in ("UTCQ", "TED"):
+            rows.append(fmt_row(name, method, st[method], st[method]["job_s"]))
     print_table(
         "Table 8 (lite): compression ratio and time",
         ["dataset", "method", "Total", "T", "E", "D", "T'", "p",

@@ -107,7 +107,7 @@ def _compress_group(
     row = {
         "traj_id": traj.traj_id,
         "ts": traj.ts,
-        "m": traj.num_points,
+        "m": ct.m,
         "n_inst": len(traj.teds),
         "n_refs": len({r for r in ct.ref_of.values()}),
         "blob": ct.blob,
@@ -150,6 +150,7 @@ def ct_from_row(row) -> CompressedTrajectory:
     return CompressedTrajectory(
         traj_id=int(row.traj_id),
         ts=int(row.ts),
+        m=int(row.m),
         blob=bytes(row.blob),
         nbits=int(row.nbits),
         orig_bits={
@@ -201,7 +202,9 @@ def _py_values(arr: pa.Array) -> list:
 
 
 def ratio_summary(compressed: DataFrame) -> dict:
-    """Table-8-style per-component compression ratios via Spark aggregation.
+    """Table-8-style per-component compression ratios via Spark aggregation,
+    for the rows of either compressor: UTCQ's (one per trajectory) or the
+    TED job's (one per instance, ``comp_meta`` 0).
 
     T′ for UTCQ counts the trimmed reference bits plus factor streams; the
     'Total' ratio includes the container metadata in the denominator.

@@ -1,9 +1,9 @@
 """Decoding of UTCQ blobs — full and partial (§5 query support).
 
 ``decode_trajectory`` inverts :func:`repro.core.encoder.encode_trajectory`
-losslessly for SV/E/T′/T and within η_D/η_p for D/p.  The partial helpers
-start from recorded bit offsets (an instance's ``start``/``d_start``, a
-temporal tuple's ``t_pos``) and decode only what a query needs.
+losslessly for SV/E/T′/T and within η_D/η_p for D/p.
+``decode_instance_partial`` starts from an instance's recorded bit offsets
+(``start``/``d_start``) and decodes only what a query needs.
 """
 from __future__ import annotations
 
@@ -181,12 +181,6 @@ def read_d_diffs(r: BitReader, bm: int, bd: int) -> list[tuple[int, float]]:
 
 # ---- partial decompression helpers (§5.2 index offsets) -----------------
 
-def blob_m(ct: CompressedTrajectory) -> int:
-    """Number of sample points (first header counter)."""
-    r = BitReader(ct.blob, ct.nbits)
-    return decode_delta(r)
-
-
 def decode_instance_partial(
     ct: CompressedTrajectory,
     cfg: UTCQConfig,
@@ -210,7 +204,7 @@ def decode_instance_partial(
     cached = cache.get(inst_id)
     if cached is not None and (cached.d or not need_d):
         return cached
-    w = _widths(blob_m(ct), cfg, max_out_degree)
+    w = _widths(ct.m, cfg, max_out_degree)
     ref_id = ct.ref_of[inst_id]
     ref = None
     if ref_id != inst_id:
@@ -232,16 +226,3 @@ def decode_instance_partial(
     cache[inst_id] = ted
     return ted
 
-
-def decode_times_from(
-    ct: CompressedTrajectory, t_no: int, t_pos: int, count: int
-) -> list[int]:
-    """Decode ``count`` timestamps starting at the ``t_no``-th one, given
-    the bit offset ``t_pos`` of its delta (from the temporal index) and the
-    absolute value of timestamp ``t_no`` is NOT needed — callers pass the
-    tuple's ``t_start``.  Returns the deviations; see
-    :func:`repro.core.model.siar_timestamps` for reconstruction.
-    """
-    r = BitReader(ct.blob, ct.nbits)
-    r.seek(t_pos)
-    return [decode_delta(r) for _ in range(count)]

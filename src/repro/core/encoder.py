@@ -40,7 +40,12 @@ from repro.bits import (
 )
 from repro.core.config import UTCQConfig
 from repro.core.fjd import score_matrix
-from repro.core.model import TedTrajectory, TedTuple, UncertainTrajectory
+from repro.core.model import (
+    TedTrajectory,
+    TedTuple,
+    UncertainTrajectory,
+    original_bits,
+)
 from repro.core.pivots import select_pivots
 from repro.core.referential import diff_d, factorize_e, factorize_tflag
 from repro.core.refselect import ReferenceAssignment, select_references
@@ -56,6 +61,8 @@ class CompressedTrajectory:
 
     traj_id: int
     ts: int
+    #: number of sample points (the blob's first header counter)
+    m: int
     blob: bytes
     nbits: int
     orig_bits: dict[str, int]
@@ -120,6 +127,9 @@ def encode_trajectory(
     w = BitWriter()
     comp = {c: 0 for c in COMPONENTS}
     orig = {c: 0 for c in COMPONENTS}
+    for ted in teds:
+        for c, bits in original_bits(ted, m).items():
+            orig[c] += bits
     delta_offsets: list[int] = []
     inst_offsets: dict[int, dict[str, int]] = {}
     ref_of: dict[int, int] = {}
@@ -134,17 +144,14 @@ def encode_trajectory(
     comp["meta"] += len(w) - start
 
     # ---- shared time sequence (SIAR + improved Exp-Golomb) --------------
-    # Stored ONCE per uncertain trajectory (Definition 5); the raw NCUT
-    # input lists every instance as a full timestamped trajectory, so the
-    # original side counts one 32-bit timestamp copy per instance — see
-    # DESIGN.md §2 and EXPERIMENTS.md for the accounting discussion.
+    # Stored ONCE per uncertain trajectory (Definition 5), while the
+    # original side counts one timestamp copy per instance (DESIGN.md §2).
     start = len(w)
     w.write_bits(traj.t0 % 86400, T0_BITS)
     for dlt in traj.deltas:
         delta_offsets.append(len(w))
         encode_delta(w, dlt)
     comp["T"] += len(w) - start
-    orig["T"] += 32 * m * len(teds)
 
     # ---- references and their representation sets -----------------------
     for r in asg.reference_indices:
@@ -152,10 +159,6 @@ def encode_trajectory(
         _encode_reference(w, ref, r, bi, be, bd, bp, comp, inst_offsets)
         ref_of[r] = r
         probs[r] = dequantize(quantize(ref.prob, bp), bp)
-        orig["E"] += 32 * (1 + len(ref.entries))
-        orig["Tp"] += len(ref.tflag)
-        orig["D"] += 64 * m
-        orig["p"] += 64
 
         rrs = asg.refs[r]
         start = len(w)
@@ -166,14 +169,11 @@ def encode_trajectory(
             _encode_nonref(w, ref, nref, v, bi, be, bd, bp, bm, comp, inst_offsets)
             ref_of[v] = r
             probs[v] = dequantize(quantize(nref.prob, bp), bp)
-            orig["E"] += 32 * (1 + len(nref.entries))
-            orig["Tp"] += len(nref.tflag)
-            orig["D"] += 64 * m
-            orig["p"] += 64
 
     return CompressedTrajectory(
         traj_id=traj.traj_id,
         ts=traj.ts,
+        m=m,
         blob=w.to_bytes(),
         nbits=len(w),
         orig_bits=orig,

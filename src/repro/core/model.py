@@ -83,6 +83,24 @@ class TedTuple:
         return sum(self.tflag)
 
 
+def original_bits(t: TedTuple, m: int) -> dict[str, int]:
+    """Uncompressed size of one instance with ``m`` sample points, per
+    component — the Table 8 numerators of both compressors (DESIGN.md §2.6).
+
+    The raw NCUT input lists every instance as a full timestamped
+    trajectory: 32-bit timestamps (T), a 32-bit start vertex and 32-bit
+    entries (E), one bit per T′ flag, 64-bit relative distances (D) and a
+    64-bit probability (p).
+    """
+    return {
+        "T": 32 * m,
+        "E": 32 * (1 + len(t.entries)),
+        "Tp": len(t.tflag),
+        "D": 64 * m,
+        "p": 64,
+    }
+
+
 @dataclass
 class UncertainTrajectory:
     """A NCUT: shared time sequence + N instances (Definition 5)."""

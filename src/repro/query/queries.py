@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.bits import BitReader, decode_delta
 from repro.core.config import UTCQConfig
-from repro.core.decoder import blob_m, decode_instance_partial, decode_timestamps
+from repro.core.decoder import decode_instance_partial, decode_timestamps
 from repro.core.encoder import CompressedTrajectory
 from repro.core.model import TedTuple, ted_path, ted_to_instance
 from repro.query.reference import PathGeometry, _time_at
@@ -105,7 +105,7 @@ class UTCQEngine:
         SIAR deltas from the best temporal tuple (partial decompression).
         Returns (k, t_k, t_{k+1}, m) or None if t is outside the span."""
         ct = entry.ct
-        m = blob_m(ct)
+        m = ct.m
         tups = [tp for tp in entry.temporal if tp["t_start"] <= t]
         if not tups:
             return None

@@ -1,4 +1,5 @@
-"""Dataset and network statistics — the Tables 5 and 6 harness.
+"""Dataset, network and compression statistics — the Tables 5, 6 and 8
+harness.
 
 Computed with Spark aggregations over the canonical DataFrames so the same
 numbers the paper tabulates for its proprietary datasets are reported for
@@ -6,10 +7,17 @@ the synthetic stand-ins (EXPERIMENTS.md records both side by side).
 """
 from __future__ import annotations
 
+import time
+
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.compress_job import compress_dataset, ratio_summary
+from repro.core.config import DATASET_CONFIGS
 from repro.roadnet.graph import RoadNetwork
+from repro.ted.ted_job import ted_compress_dataset
+from repro.trajgen import DATASET_PROFILES
+from repro.trajgen.spark_io import dataset_df
 
 
 def table6_stats(spark: SparkSession, net: RoadNetwork) -> dict:
@@ -87,3 +95,25 @@ def table5_stats(
         "edges_max": int(agg.max_edges),
         "default_sample_interval_s": ts,
     }
+
+
+def table8_stats(spark: SparkSession, name: str, n_traj: int | None = None) -> dict:
+    """One Table 8 row pair: UTCQ and TED compress the same cached dataset.
+
+    Returns ``n_inst`` and, under ``"UTCQ"`` and ``"TED"``, each method's
+    :func:`repro.core.compress_job.ratio_summary` plus ``job_s``, the wall
+    time of its Spark job (the aggregation triggers it).
+    """
+    cfg = DATASET_CONFIGS[name]
+    instances, times, net = dataset_df(spark, DATASET_PROFILES[name], n_traj=n_traj)
+    instances = instances.cache()
+    times = times.cache()
+    out: dict = {"n_inst": instances.count()}
+    times.count()
+    for method, job in (("UTCQ", compress_dataset), ("TED", ted_compress_dataset)):
+        t0 = time.perf_counter()
+        summary = ratio_summary(job(spark, instances, times, net, cfg))
+        out[method] = {**summary, "job_s": time.perf_counter() - t0}
+    instances.unpersist()
+    times.unpersist()
+    return out

@@ -145,32 +145,3 @@ def compress_group(codes: list[str], be: int = 3) -> dict:
         plans.append(_radix_plan(codes, be))
     return min(plans, key=lambda p: p["total_bits"])
 
-
-def decompress_check(codes: list[str], be: int = 3) -> bool:
-    """Losslessness of both transformations on this group."""
-    if not codes:
-        return True
-    # radix: digits reconstruct entries exactly
-    if be > 0 and len(codes[0]) % be == 0:
-        rows_entries = [_entries_of(c, be) for c in codes]
-        n_cols = len(codes[0]) // be
-        columns_max = [
-            max(e[j] for e in rows_entries) for j in range(n_cols)
-        ]
-        for entries in rows_entries:
-            packed = 0
-            for v, mx in zip(entries, columns_max):
-                packed = packed * (mx + 1) + v
-            out = []
-            for mx in reversed(columns_max):
-                out.append(packed % (mx + 1))
-                packed //= mx + 1
-            if list(reversed(out)) != entries:
-                return False
-    # bases: base ⊕ residual is the identity
-    rows = [int(code, 2) if code else 0 for code in codes]
-    base = rows[0]
-    for r in rows:
-        if base ^ (r ^ base) != r:
-            return False
-    return True

@@ -80,10 +80,6 @@ def ted_instance_sizes(
         "D": bd * m,
         "Tp": len(ted.tflag),
         "p": bp,
-        "orig_E": 32 * (1 + len(ted.entries)),
-        "orig_D": 64 * m,
-        "orig_Tp": len(ted.tflag),
-        "orig_p": 64,
     }
 
 

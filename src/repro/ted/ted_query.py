@@ -88,7 +88,7 @@ class TEDBaselineEngine:
         cls, net: RoadNetwork, cfg: UTCQConfig, grid: SpatialGrid, trajs
     ) -> "TEDBaselineEngine":
         """Driver-side construction (encode without Spark) — used by the
-        latency benchmarks."""
+        query tests and the latency benchmarks."""
         be = bits_needed(net.max_out_degree + 1)
         blobs: dict[int, TedTrajBlob] = {}
         for t in trajs:
@@ -98,40 +98,6 @@ class TEDBaselineEngine:
                 for ted in traj.teds
             ]
             blobs[t.traj_id] = _traj_blob(net, grid, traj, payloads)
-        return cls(net, cfg, grid, blobs)
-
-    @classmethod
-    def from_dfs(
-        cls,
-        payloads_df,
-        times_df,
-        net: RoadNetwork,
-        cfg: UTCQConfig,
-        grid: SpatialGrid,
-    ) -> "TEDBaselineEngine":
-        """Load the payloads of :func:`repro.ted.ted_job.ted_compressed_payloads`
-        and the time rows."""
-        times = {
-            int(r.traj_id): (int(r.t0), int(r.ts), [int(x) for x in r.deltas])
-            for r in times_df.collect()
-        }
-        rows: dict[int, list] = {}
-        for r in payloads_df.collect():
-            rows.setdefault(int(r.traj_id), []).append(
-                (int(r.inst_id), bytes(r.payload))
-            )
-        be = bits_needed(net.max_out_degree + 1)
-        blobs: dict[int, TedTrajBlob] = {}
-        for tid, lst in rows.items():
-            t0, ts, deltas = times[tid]
-            payloads = [p for _, p in sorted(lst)]
-            m = len(deltas) + 1
-            teds = [
-                decode_instance_payload(p, m, be, cfg.eta_d, cfg.eta_p)
-                for p in payloads
-            ]
-            traj = TedTrajectory(tid, t0, deltas, ts, teds)
-            blobs[tid] = _traj_blob(net, grid, traj, payloads)
         return cls(net, cfg, grid, blobs)
 
     # -- full decompression of one trajectory ------------------------------

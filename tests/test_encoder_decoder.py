@@ -1,12 +1,9 @@
 """UTCQ binary encoder/decoder round-trip tests (Fig. 2 trajectory)."""
 import pytest
 
+from repro.bits import BitReader, decode_delta
 from repro.core.config import UTCQConfig
-from repro.core.decoder import (
-    decode_instance_partial,
-    decode_times_from,
-    decode_trajectory,
-)
+from repro.core.decoder import decode_instance_partial, decode_trajectory
 from repro.core.encoder import compress_trajectory, encode_trajectory
 from repro.core.model import (
     Instance,
@@ -114,8 +111,9 @@ class TestPartialDecoding:
     def test_delta_offsets(self, ct, traj):
         assert len(ct.delta_offsets) == traj.num_points - 1
         # Decode from the 3rd delta onward using the recorded offset.
-        deltas = decode_times_from(ct, 3, ct.delta_offsets[2], 4)
-        assert deltas == traj.deltas[2:]
+        r = BitReader(ct.blob, ct.nbits)
+        r.seek(ct.delta_offsets[2])
+        assert [decode_delta(r) for _ in range(4)] == traj.deltas[2:]
 
     def test_timestamps_from_anchor(self, traj):
         full = traj.timestamps()

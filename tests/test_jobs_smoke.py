@@ -73,3 +73,10 @@ class TestJobModulesImport:
         )
         assert row[0] == "dk" and row[1] == "UTCQ"
         assert row[2] == "1.500" and row[-1] == "1.5"
+
+    def test_table8_parse_args(self):
+        mod = load("table8_compression")
+        args = mod.parse_args(["hz", "--n-traj", "40"])
+        assert args.datasets == ["hz"] and args.n_traj == 40
+        args = mod.parse_args([])
+        assert args.datasets == ["dk", "cd", "hz"] and args.n_traj is None

@@ -8,7 +8,6 @@ from repro.query.query_job import range_query_job
 from repro.query.stiu import index_dataframes
 from repro.roadnet import grid_network
 from repro.roadnet.grid import Rect
-from repro.ted.ted_job import ted_compressed_payloads
 from repro.ted.ted_query import TEDBaselineEngine
 from repro.trajgen import DATASET_PROFILES, generate_dataset
 from repro.trajgen.spark_io import (
@@ -32,12 +31,8 @@ def setup(spark):
     _, sindex = index_dataframes(compressed)
     sindex = sindex.cache()
     engine = UTCQEngine.from_compressed_df(compressed, net, CFG)
-    ted = TEDBaselineEngine.from_dfs(
-        ted_compressed_payloads(spark, instances, times, net, CFG),
-        times,
-        net,
-        CFG,
-        network_grid(net, CFG.grid_n),
+    ted = TEDBaselineEngine.from_trajectories(
+        net, CFG, network_grid(net, CFG.grid_n), trajs
     )
     return net, trajs, compressed, sindex, engine, ted
 
@@ -69,15 +64,6 @@ class TestSparkRangeJob:
         for rect, alpha in QUERIES:
             for tq in (trajs[2].t0 + 45, trajs[8].t0 + 10):
                 assert ted.range(rect, tq, alpha) == engine.range(rect, tq, alpha)
-
-    def test_ted_engine_from_dfs_matches_from_trajectories(self, setup):
-        # Payload bytes, regions, t_first/t_last and the time sequence.
-        net, trajs, _, _, _, ted = setup
-        want = TEDBaselineEngine.from_trajectories(
-            net, CFG, network_grid(net, CFG.grid_n), trajs
-        )
-        assert sorted(ted.blobs) == sorted(want.blobs) == [t.traj_id for t in trajs]
-        assert ted.blobs == want.blobs
 
     def test_ted_where_when_agree(self, setup):
         net, trajs, _, _, engine, ted = setup

@@ -1,9 +1,9 @@
 """StIU index construction tests (§5.2) on the Fig. 2 fixture."""
 import pytest
 
+from repro.bits import BitReader, decode_delta
 from repro.core.compress_job import network_grid
 from repro.core.config import UTCQConfig
-from repro.core.decoder import decode_times_from
 from repro.core.encoder import compress_trajectory
 from repro.core.model import instance_to_ted, ted_path
 from repro.examples.fig2 import fig2_network, fig2_trajectory
@@ -59,8 +59,9 @@ class TestTemporalTuples:
     def test_t_pos_decodes_remaining_deltas(self, built):
         _, traj, ct, *_ , temporal, _ = built
         tup = temporal[1]
-        deltas = decode_times_from(ct, tup["t_no"], tup["t_pos"], 3)
-        assert deltas == traj.deltas[3:]
+        r = BitReader(ct.blob, ct.nbits)
+        r.seek(tup["t_pos"])
+        assert [decode_delta(r) for _ in range(3)] == traj.deltas[3:]
 
 
 class TestSpatialTuples:

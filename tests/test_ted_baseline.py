@@ -2,12 +2,14 @@
 import pytest
 
 from repro.bits import bits_needed
+from repro.core.compress_job import ratio_summary
 from repro.core.config import DATASET_CONFIGS
+from repro.core.encoder import compress_trajectory
 from repro.core.model import instance_to_ted
 from repro.examples.fig2 import fig2_network, fig2_trajectory
 from repro.oracle import assert_equivalent
 from repro.roadnet import grid_network
-from repro.ted.matrix import compress_group, decompress_check
+from repro.ted.matrix import compress_group, radix_pack_bits
 from repro.ted.ted_encode import (
     TED_PAIR_BITS,
     decode_instance_payload,
@@ -16,7 +18,7 @@ from repro.ted.ted_encode import (
     ted_time_decode,
     ted_time_pairs,
 )
-from repro.ted.ted_job import ted_compress_dataset, ted_ratio_summary
+from repro.ted.ted_job import ted_compress_dataset
 from repro.trajgen import DATASET_PROFILES, generate_dataset
 from repro.trajgen.spark_io import (
     INSTANCES_SCHEMA,
@@ -110,7 +112,22 @@ class TestMatrix:
         codes = [
             "".join(rng.choice("01") for _ in range(12)) for _ in range(30)
         ]
-        assert decompress_check(codes)
+        # Mixed-radix packing: the digits give back every row's entries,
+        # and a packed row fits in the bits the radix plan charges.
+        be = 3
+        rows = [[int(c[i : i + be], 2) for i in range(0, 12, be)] for c in codes]
+        radix = [max(col) + 1 for col in zip(*rows)]
+        per_row = radix_pack_bits([r - 1 for r in radix])
+        for entries in rows:
+            packed = 0
+            for v, rx in zip(entries, radix):
+                packed = packed * rx + v
+            assert packed < 1 << per_row
+            digits = []
+            for rx in reversed(radix):
+                packed, v = divmod(packed, rx)
+                digits.append(v)
+            assert digits[::-1] == entries
 
     def test_row_accounting(self):
         codes = ["001100110011"] * 16
@@ -151,18 +168,40 @@ class TestTedJob:
         df.count()
         return df, trajs
 
+    @pytest.fixture(scope="class")
+    def rows(self, final):
+        return final[0].collect()
+
     def test_row_per_instance(self, final):
         df, trajs = final
         assert df.count() == sum(len(t.instances) for t in trajs)
 
-    def test_ratios(self, final):
+    def test_ratios(self, final, rows):
         df, _ = final
-        s = ted_ratio_summary(df)
+        s = ratio_summary(df)
         assert s["Tp"] == pytest.approx(1.0)  # bitmap compression omitted
         assert s["p"] == pytest.approx(64 / 9, abs=0.01)
         assert s["D"] == pytest.approx(64 / 7, abs=0.01)
         assert s["Total"] > 1.0
         assert s["T"] > 1.0
+        orig = sum(r[f"orig_{k}"] for r in rows for k in ("t", "e", "d", "tp", "p"))
+        comp = sum(
+            r[f"comp_{k}"] for r in rows for k in ("t", "e", "d", "tp", "p", "meta")
+        )
+        assert s["Total"] == orig / comp
+
+    def test_original_bits_match_utcq(self, final, rows):
+        # Both compressors count the same original size per trajectory.
+        _, trajs = final
+        got: dict[int, dict[str, int]] = {}
+        for r in rows:
+            acc = got.setdefault(r.traj_id, dict.fromkeys(("T", "E", "D", "Tp", "p"), 0))
+            for c in acc:
+                acc[c] += r[f"orig_{c.lower()}"]
+        net = grid_network("test")
+        for traj in trajs:
+            want = compress_trajectory(net, traj, CFG).orig_bits
+            assert {**got[traj.traj_id], "meta": 0} == want
 
     def test_matrix_helps_e(self, final):
         df, _ = final
