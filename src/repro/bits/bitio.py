@@ -51,38 +51,22 @@ class BitWriter:
         for b in bits:
             self.write_bit(1 if b else 0)
 
-    def extend(self, other: "BitWriter") -> None:
-        """Append all bits of ``other`` (not byte-aligned)."""
-        r = BitReader(other.to_bytes(), len(other))
-        for _ in range(len(other)):
-            self.write_bit(r.read_bit())
-
     def to_bytes(self) -> bytes:
         return bytes(self._buf)
 
 
 class BitReader:
-    """MSB-first bit reader with ``seek``/``tell`` over a bytes payload."""
+    """MSB-first bit reader with ``seek`` over a bytes payload."""
 
     def __init__(self, data: bytes, nbits: int | None = None) -> None:
         self._data = data
         self._nbits = len(data) * 8 if nbits is None else nbits
         self._pos = 0
 
-    def __len__(self) -> int:
-        return self._nbits
-
-    def tell(self) -> int:
-        return self._pos
-
     def seek(self, bitpos: int) -> None:
         if not 0 <= bitpos <= self._nbits:
             raise ValueError(f"seek {bitpos} out of range [0, {self._nbits}]")
         self._pos = bitpos
-
-    @property
-    def remaining(self) -> int:
-        return self._nbits - self._pos
 
     def read_bit(self) -> int:
         if self._pos >= self._nbits:

@@ -48,12 +48,3 @@ def decode_delta(r: BitReader) -> int:
     neg = r.read_bit() == 1
     mag = r.read_bits(j) + ((1 << j) - 1)
     return -mag if neg else mag
-
-
-def encode_delta_stream(w: BitWriter, deltas) -> None:
-    for d in deltas:
-        encode_delta(w, int(d))
-
-
-def decode_delta_stream(r: BitReader, n: int) -> list[int]:
-    return [decode_delta(r) for _ in range(n)]

@@ -144,6 +144,7 @@ def ct_from_row(row) -> CompressedTrajectory:
     """Rebuild a :class:`CompressedTrajectory` from a compressed-DF row: a
     ``Row``, a pandas row or one of :func:`collect_rows`; its ``insts``
     elements are ``Row``s or dicts.  It carries what querying reads: no
+    size accounting (the row's ``orig_*``/``comp_*`` columns hold it), no
     ``delta_offsets`` (the temporal tuples hold them) and only
     ``start``/``d_start`` per instance."""
     insts = row.insts
@@ -153,15 +154,6 @@ def ct_from_row(row) -> CompressedTrajectory:
         m=int(row.m),
         blob=bytes(row.blob),
         nbits=int(row.nbits),
-        orig_bits={
-            "T": int(row.orig_t), "E": int(row.orig_e), "D": int(row.orig_d),
-            "Tp": int(row.orig_tp), "p": int(row.orig_p), "meta": 0,
-        },
-        comp_bits={
-            "T": int(row.comp_t), "E": int(row.comp_e), "D": int(row.comp_d),
-            "Tp": int(row.comp_tp), "p": int(row.comp_p),
-            "meta": int(row.comp_meta),
-        },
         inst_offsets={
             i["inst_id"]: {"start": i["start"], "d_start": i["d_start"]}
             for i in insts

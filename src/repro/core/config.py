@@ -6,6 +6,9 @@ pivot count 2 on DK, 1 on CD/HZ; 32×32 grid; 30-minute time partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+from repro.bits import bits_for_bound, bits_needed
 
 #: Table 7 — parameter ranges exercised by the benchmark sweeps.
 PARAMETER_RANGES = {
@@ -34,6 +37,32 @@ class UTCQConfig:
             raise ValueError("need at least one pivot")
         if self.time_partition_min < 1:
             raise ValueError("bad time partition")
+
+
+class Widths(NamedTuple):
+    """Field widths of one trajectory's blob (§4.4); TED (§2.3) uses the
+    same edge-number and PDDP widths, so Table 8 compares like with like."""
+
+    #: number of sample points
+    m: int
+    #: edge number, ⌈log₂(o+1)⌉ (entries include the extra-point 0s)
+    be: int
+    #: relative distance, ⌈log₂ 1/η_D⌉
+    bd: int
+    #: probability, ⌈log₂ 1/η_p⌉
+    bp: int
+    #: ComD position, ⌈log₂ m⌉
+    bm: int
+
+    @classmethod
+    def of(cls, m: int, cfg: UTCQConfig, max_out_degree: int) -> "Widths":
+        return cls(
+            m=m,
+            be=bits_needed(max_out_degree + 1),
+            bd=bits_for_bound(cfg.eta_d),
+            bp=bits_for_bound(cfg.eta_p),
+            bm=bits_needed(m),
+        )
 
 
 #: Per-dataset defaults from §6.1/§6.2.

@@ -8,16 +8,9 @@ losslessly for SV/E/T′/T and within η_D/η_p for D/p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from repro.bits import (
-    BitReader,
-    bits_for_bound,
-    bits_needed,
-    decode_delta,
-    dequantize,
-)
-from repro.core.config import UTCQConfig
+from repro.bits import BitReader, bits_needed, decode_delta, dequantize
+from repro.core.config import UTCQConfig, Widths
 from repro.core.encoder import T0_BITS, CompressedTrajectory
 from repro.core.model import TedTuple, siar_timestamps
 from repro.core.referential import Factor, apply_d, apply_e, apply_tflag
@@ -38,29 +31,9 @@ class DecodedTrajectory:
         return siar_timestamps(self.t0, self.ts, self.deltas)
 
 
-class _Widths(NamedTuple):
-    """Field widths of one blob: from the header and the decoding config."""
-
-    m: int
-    be: int
-    bd: int
-    bp: int
-    bm: int
-
-
 def _read_header(r: BitReader) -> tuple[int, int, int]:
     """The three header counters: (m, n_inst, n_refs)."""
     return decode_delta(r), decode_delta(r), decode_delta(r)
-
-
-def _widths(m: int, cfg: UTCQConfig, max_out_degree: int) -> _Widths:
-    return _Widths(
-        m=m,
-        be=bits_needed(max_out_degree + 1),
-        bd=bits_for_bound(cfg.eta_d),
-        bp=bits_for_bound(cfg.eta_p),
-        bm=bits_needed(m),
-    )
 
 
 def _read_times(r: BitReader, m: int) -> tuple[int, list[int]]:
@@ -83,7 +56,7 @@ def decode_trajectory(
     """Sequentially parse a whole blob."""
     r = BitReader(ct.blob, ct.nbits)
     m, n_inst, n_refs = _read_header(r)
-    w = _widths(m, cfg, max_out_degree)
+    w = Widths.of(m, cfg, max_out_degree)
     bi = bits_needed(n_inst)
     t0, deltas = _read_times(r, m)
 
@@ -108,7 +81,7 @@ def decode_trajectory(
 # section; with ``need_d=False`` it stops before the D section (``d`` comes
 # back empty), and :func:`_read_d` decodes that section later.
 
-def _read_reference(r: BitReader, w: _Widths, need_d: bool) -> TedTuple:
+def _read_reference(r: BitReader, w: Widths, need_d: bool) -> TedTuple:
     prob = dequantize(r.read_bits(w.bp), w.bp)
     sv = r.read_bits(32)
     ne = decode_delta(r)
@@ -121,7 +94,7 @@ def _read_reference(r: BitReader, w: _Widths, need_d: bool) -> TedTuple:
 
 
 def _read_nonref(
-    r: BitReader, ref: TedTuple, w: _Widths, need_d: bool
+    r: BitReader, ref: TedTuple, w: Widths, need_d: bool
 ) -> TedTuple:
     prob = dequantize(r.read_bits(w.bp), w.bp)
     entries = apply_e(ref.entries, read_e_factors(r, len(ref.entries), w.be))
@@ -135,7 +108,7 @@ def _read_nonref(
     return TedTuple(ref.sv, entries, tflag, d, prob)
 
 
-def _read_d(r: BitReader, ref: TedTuple | None, w: _Widths) -> list[float]:
+def _read_d(r: BitReader, ref: TedTuple | None, w: Widths) -> list[float]:
     """D of a reference (``ref`` None) or ComD against ``ref``."""
     bd = w.bd
     if ref is None:
@@ -204,7 +177,7 @@ def decode_instance_partial(
     cached = cache.get(inst_id)
     if cached is not None and (cached.d or not need_d):
         return cached
-    w = _widths(ct.m, cfg, max_out_degree)
+    w = Widths.of(ct.m, cfg, max_out_degree)
     ref_id = ct.ref_of[inst_id]
     ref = None
     if ref_id != inst_id:

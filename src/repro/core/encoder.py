@@ -20,25 +20,21 @@ Blob layout (MSB-first; ⟨n⟩ is one improved Exp-Golomb code):
         ComT′: ⟨H⟩  factors⟨S:bt L:bt flag:1 [M:1]⟩
         ComD:  ⟨K⟩  pairs⟨pos:bm rd:bd⟩
 
-where bi = ⌈log₂ n_inst⌉, bp = ⌈log₂ 1/η_p⌉, bd = ⌈log₂ 1/η_D⌉, be =
-⌈log₂ (o+1)⌉ (entries include the extra-point 0s), bs = ⌈log₂ (|E_ref|+1)⌉,
-bt = ⌈log₂ (|T′_ref|+1)⌉, bm = ⌈log₂ m⌉.  Each instance records two offsets
-for partial decompression: ``start`` (its p field, where the section readers
-begin) and ``d_start`` (its D or ComD section).
+where be, bd, bp and bm are the fields of :class:`repro.core.config.Widths`
+(one record for the encoder, the decoder and TED), bi = ⌈log₂ n_inst⌉,
+bs = ⌈log₂ (|E_ref|+1)⌉ and bt = ⌈log₂ (|T′_ref|+1)⌉.  The writer charges
+each run of bits to one Table 8 component as it writes it (instance ids and
+the ⟨…⟩ counters are ``meta``, SV is ``E``), so ``comp_bits`` sums to
+``nbits``.  Each instance records two offsets for partial decompression:
+``start`` (its p field, where the section readers begin) and ``d_start``
+(its D or ComD section).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bits import (
-    BitWriter,
-    bits_for_bound,
-    bits_needed,
-    dequantize,
-    encode_delta,
-    quantize,
-)
-from repro.core.config import UTCQConfig
+from repro.bits import BitWriter, bits_needed, dequantize, encode_delta, quantize
+from repro.core.config import UTCQConfig, Widths
 from repro.core.fjd import score_matrix
 from repro.core.model import (
     TedTrajectory,
@@ -65,8 +61,8 @@ class CompressedTrajectory:
     m: int
     blob: bytes
     nbits: int
-    orig_bits: dict[str, int]
-    comp_bits: dict[str, int]
+    orig_bits: dict[str, int] = field(default_factory=dict)
+    comp_bits: dict[str, int] = field(default_factory=dict)
     #: bit position of each SIAR delta i (for the temporal index t.pos)
     delta_offsets: list[int] = field(default_factory=list)
     #: per instance id: bit offsets ``start`` (its p field) and
@@ -76,14 +72,6 @@ class CompressedTrajectory:
     ref_of: dict[int, int] = field(default_factory=dict)
     #: instance id → probability, quantized as the blob stores it
     probs: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def total_orig_bits(self) -> int:
-        return sum(self.orig_bits.values())
-
-    @property
-    def total_comp_bits(self) -> int:
-        return sum(self.comp_bits.values())
 
 
 def compress_trajectory(
@@ -107,6 +95,20 @@ def _select(teds: list[TedTuple], cfg: UTCQConfig) -> ReferenceAssignment:
     return select_references(sm)
 
 
+class _Writer(BitWriter):
+    """A bit writer that charges each run of bits to one Table 8 component."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.comp = dict.fromkeys(COMPONENTS, 0)
+        self._charged = 0
+
+    def charge(self, component: str) -> None:
+        """Charge every bit written since the last charge to ``component``."""
+        self.comp[component] += len(self) - self._charged
+        self._charged = len(self)
+
+
 def encode_trajectory(
     net: RoadNetwork,
     traj: TedTrajectory,
@@ -119,56 +121,49 @@ def encode_trajectory(
         raise ValueError("trajectories need at least two sample points")
     if len(teds) > 255 or m > 65535:
         raise ValueError("blob format limits exceeded")
-    be = bits_needed(net.max_out_degree + 1)
-    bd = bits_for_bound(cfg.eta_d)
-    bp = bits_for_bound(cfg.eta_p)
-    bm = bits_needed(m)
+    wd = Widths.of(m, cfg, net.max_out_degree)
+    bi = bits_needed(len(teds))  # instance-id field width
 
-    w = BitWriter()
-    comp = {c: 0 for c in COMPONENTS}
-    orig = {c: 0 for c in COMPONENTS}
+    orig = dict.fromkeys(COMPONENTS, 0)
     for ted in teds:
         for c, bits in original_bits(ted, m).items():
             orig[c] += bits
+    w = _Writer()
     delta_offsets: list[int] = []
     inst_offsets: dict[int, dict[str, int]] = {}
     ref_of: dict[int, int] = {}
-    probs: dict[int, float] = {}
 
     # ---- header (Exp-Golomb coded counters) -----------------------------
-    bi = bits_needed(len(teds))  # instance-id field width
-    start = len(w)
     encode_delta(w, m)
     encode_delta(w, len(teds))
     encode_delta(w, len(asg.refs))
-    comp["meta"] += len(w) - start
+    w.charge("meta")
 
     # ---- shared time sequence (SIAR + improved Exp-Golomb) --------------
     # Stored ONCE per uncertain trajectory (Definition 5), while the
     # original side counts one timestamp copy per instance (DESIGN.md §2).
-    start = len(w)
     w.write_bits(traj.t0 % 86400, T0_BITS)
     for dlt in traj.deltas:
         delta_offsets.append(len(w))
         encode_delta(w, dlt)
-    comp["T"] += len(w) - start
+    w.charge("T")
 
     # ---- references and their representation sets -----------------------
     for r in asg.reference_indices:
         ref = teds[r]
-        _encode_reference(w, ref, r, bi, be, bd, bp, comp, inst_offsets)
+        w.write_bits(r, bi)
+        w.charge("meta")
+        inst_offsets[r] = _encode_reference(w, ref, wd)
         ref_of[r] = r
-        probs[r] = dequantize(quantize(ref.prob, bp), bp)
 
         rrs = asg.refs[r]
-        start = len(w)
         encode_delta(w, len(rrs))
-        comp["meta"] += len(w) - start
+        w.charge("meta")
         for v in rrs:
-            nref = teds[v]
-            _encode_nonref(w, ref, nref, v, bi, be, bd, bp, bm, comp, inst_offsets)
+            w.write_bits(v, bi)
+            w.charge("meta")
+            inst_offsets[v] = _encode_nonref(w, ref, teds[v], wd)
             ref_of[v] = r
-            probs[v] = dequantize(quantize(nref.prob, bp), bp)
 
     return CompressedTrajectory(
         traj_id=traj.traj_id,
@@ -177,103 +172,77 @@ def encode_trajectory(
         blob=w.to_bytes(),
         nbits=len(w),
         orig_bits=orig,
-        comp_bits=comp,
+        comp_bits=w.comp,
         delta_offsets=delta_offsets,
         inst_offsets=inst_offsets,
         ref_of=ref_of,
-        probs=probs,
+        probs={i: dequantize(quantize(teds[i].prob, wd.bp), wd.bp) for i in ref_of},
     )
 
 
-def _encode_reference(
-    w: BitWriter,
-    ref: TedTuple,
-    inst_id: int,
-    bi: int,
-    be: int,
-    bd: int,
-    bp: int,
-    comp: dict[str, int],
-    inst_offsets: dict[int, dict[str, int]],
-) -> None:
+# ---- section writers: each starts at an instance's p field and returns the
+# instance's ``start``/``d_start`` offsets ----------------------------------
+
+def _encode_reference(w: _Writer, ref: TedTuple, wd: Widths) -> dict[str, int]:
     ne = len(ref.entries)
     if ne > 65535:
         raise ValueError("edge sequence too long for blob format")
-    w.write_bits(inst_id, bi)
-    comp["meta"] += bi
-    off: dict[str, int] = {"start": len(w)}
-    w.write_bits(quantize(ref.prob, bp), bp)
-    comp["p"] += bp
+    start = len(w)
+    w.write_bits(quantize(ref.prob, wd.bp), wd.bp)
+    w.charge("p")
 
     w.write_bits(ref.sv, 32)
-    lstart = len(w)
+    w.charge("E")
     encode_delta(w, ne)  # |E| length header is structure
-    comp["meta"] += len(w) - lstart
+    w.charge("meta")
     for no in ref.entries:
-        w.write_bits(no, be)
-    comp["E"] += 32 + be * ne
+        w.write_bits(no, wd.be)
+    w.charge("E")
 
-    trimmed = ref.trimmed_tflag()
-    w.write_bools(trimmed)
-    comp["Tp"] += len(trimmed)
+    w.write_bools(ref.trimmed_tflag())
+    w.charge("Tp")
 
-    off["d_start"] = len(w)
+    d_start = len(w)
     for rd in ref.d:
-        w.write_bits(quantize(rd, bd), bd)
-    comp["D"] += bd * len(ref.d)
-    inst_offsets[inst_id] = off
+        w.write_bits(quantize(rd, wd.bd), wd.bd)
+    w.charge("D")
+    return {"start": start, "d_start": d_start}
 
 
 def _encode_nonref(
-    w: BitWriter,
-    ref: TedTuple,
-    nref: TedTuple,
-    inst_id: int,
-    bi: int,
-    be: int,
-    bd: int,
-    bp: int,
-    bm: int,
-    comp: dict[str, int],
-    inst_offsets: dict[int, dict[str, int]],
-) -> None:
-    w.write_bits(inst_id, bi)
-    comp["meta"] += bi
-    off: dict[str, int] = {"start": len(w)}
-    w.write_bits(quantize(nref.prob, bp), bp)
-    comp["p"] += bp
+    w: _Writer, ref: TedTuple, nref: TedTuple, wd: Widths
+) -> dict[str, int]:
+    start = len(w)
+    w.write_bits(quantize(nref.prob, wd.bp), wd.bp)
+    w.charge("p")
 
     # ComE — (S, L, M) factors; the count is Exp-Golomb coded (H−1, so the
     # common near-identical single-factor case costs 1 bit).
     e_factors = factorize_e(ref.entries, nref.entries)
     bs = bits_needed(len(ref.entries) + 1)
-    cstart = len(w)
     encode_delta(w, len(e_factors) - 1)
-    comp["meta"] += len(w) - cstart  # factor counts are structure, not E
-    start = len(w)
+    w.charge("meta")  # factor counts are structure, not E
     for h, f in enumerate(e_factors):
         if f.l is None:  # case B: (S=|E_ref|, M)
             w.write_bits(len(ref.entries), bs)
-            w.write_bits(f.m, be)
+            w.write_bits(f.m, wd.be)
             continue
         w.write_bits(f.s, bs)
         w.write_bits(f.l, bs)
         if h < len(e_factors) - 1:
-            w.write_bits(f.m, be)
+            w.write_bits(f.m, wd.be)
         else:
             w.write_bit(1 if f.m is not None else 0)
             if f.m is not None:
-                w.write_bits(f.m, be)
-    comp["E"] += len(w) - start
+                w.write_bits(f.m, wd.be)
+    w.charge("E")
 
     # ComT′ — (S, L) with mostly-implicit M
     ref_trim = ref.trimmed_tflag()
     t_factors = factorize_tflag(ref_trim, nref.trimmed_tflag())
     bt = bits_needed(len(ref_trim) + 1)
-    cstart = len(w)
     encode_delta(w, len(t_factors))  # ∅ (identical T′) costs one bit
-    comp["meta"] += len(w) - cstart
-    start = len(w)
+    w.charge("meta")
     for f in t_factors:
         w.write_bits(f.s, bt)
         w.write_bits(f.l, bt)
@@ -282,17 +251,15 @@ def _encode_nonref(
             w.write_bit(f.m)
         else:
             w.write_bit(0)
-    comp["Tp"] += len(w) - start
+    w.charge("Tp")
 
     # ComD — (pos, rd) difference pairs; identical D costs one bit.
-    diffs = diff_d(ref.d, nref.d, bd)
-    off["d_start"] = len(w)
-    cstart = len(w)
+    diffs = diff_d(ref.d, nref.d, wd.bd)
+    d_start = len(w)
     encode_delta(w, len(diffs))
-    comp["meta"] += len(w) - cstart
-    start = len(w)
+    w.charge("meta")
     for pos, rd in diffs:
-        w.write_bits(pos, bm)
-        w.write_bits(quantize(rd, bd), bd)
-    comp["D"] += len(w) - start
-    inst_offsets[inst_id] = off
+        w.write_bits(pos, wd.bm)
+        w.write_bits(quantize(rd, wd.bd), wd.bd)
+    w.charge("D")
+    return {"start": start, "d_start": d_start}

@@ -26,15 +26,6 @@ class ReferenceAssignment:
     def reference_indices(self) -> list[int]:
         return sorted(self.refs)
 
-    def reference_of(self, v: int) -> int | None:
-        """The reference representing instance ``v`` (itself if reference)."""
-        if v in self.refs:
-            return v
-        for r, rrs in self.refs.items():
-            if v in rrs:
-                return r
-        return None
-
     def validate(self, n: int) -> None:
         seen: set[int] = set()
         for r, rrs in self.refs.items():

@@ -48,7 +48,6 @@ class UTCQEngine:
         self.cfg = cfg
         self.grid = grid
         self.entries = entries
-        self.max_edge_len = max(net.lengths.values()) if net.lengths else 0.0
         for e in entries.values():
             e.temporal.sort(key=lambda t: t["t_start"])
         # Inverted spatial index: region → compact candidate rows
@@ -225,7 +224,7 @@ class UTCQEngine:
         """Index filtering + Lemma 4: candidate instance ids per trajectory
         (a conservative superset over :meth:`SpatialGrid.cells_near`;
         refinement is exact)."""
-        cells = self.grid.cells_near(rect, self.max_edge_len)
+        cells = self.grid.cells_near(rect, self.net.max_edge_length)
         per_traj: dict[int, set[int]] = {}
         for cell in cells:
             for traj_id, inst_id, t_enter, t_exit in self.by_region.get(cell, ()):

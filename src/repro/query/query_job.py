@@ -32,8 +32,7 @@ def range_query_job(
 ) -> list[int]:
     """range(Tu, RE, t_q, α) with Spark-SQL index filtering (Definition 12)."""
     grid = network_grid(net, cfg.grid_n)
-    max_edge = max(net.lengths.values()) if net.lengths else 0.0
-    cells = grid.cells_near(rect, max_edge)
+    cells = grid.cells_near(rect, net.max_edge_length)
 
     # Index filtering: candidate (traj, instance) pairs.
     cand = (

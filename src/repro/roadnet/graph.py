@@ -55,20 +55,19 @@ class RoadNetwork:
             if (u, v) not in self.lengths:
                 self.lengths[(u, v)] = self.euclid(u, v)
         self._max_out = max((len(vs) for vs in self.adj.values()), default=1)
+        self._max_len = max(self.lengths.values(), default=0.0)
 
     # -- basic properties -------------------------------------------------
-    @property
-    def num_vertices(self) -> int:
-        return len(self.coords)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._edge_no)
-
     @property
     def max_out_degree(self) -> int:
         """``o`` in the paper: drives the ⌈log₂ o⌉-bit edge-number codes."""
         return self._max_out
+
+    @property
+    def max_edge_length(self) -> float:
+        """Longest edge: how far past a region an instance can be while
+        its edge still reaches into it (range-query cell padding)."""
+        return self._max_len
 
     def avg_out_degree(self) -> float:
         verts = [u for u, vs in self.adj.items() if vs]
@@ -94,9 +93,6 @@ class RoadNetwork:
             return self.adj[u][no - 1]
         except IndexError:
             raise KeyError(f"vertex {u} has no out-edge #{no}") from None
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edge_no
 
     def edge_length(self, u: int, v: int) -> float:
         return self.lengths[(u, v)]

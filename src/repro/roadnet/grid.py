@@ -77,17 +77,6 @@ class SpatialGrid:
         cy = min(self.ny - 1, max(0, int((y - self.bbox.y0) / self.dy))) if self.dy > 0 else 0
         return cy * self.nx + cx
 
-    def cell_rect(self, cell: int) -> Rect:
-        cy, cx = divmod(cell, self.nx)
-        if not (0 <= cx < self.nx and 0 <= cy < self.ny):
-            raise ValueError(f"cell {cell} out of range")
-        return Rect(
-            self.bbox.x0 + cx * self.dx,
-            self.bbox.y0 + cy * self.dy,
-            self.bbox.x0 + (cx + 1) * self.dx,
-            self.bbox.y0 + (cy + 1) * self.dy,
-        )
-
     def cells_overlapping(self, re: Rect) -> list[int]:
         """All cells intersecting rectangle ``re`` (the index lookup set)."""
         if self.dx <= 0 or self.dy <= 0:

@@ -2,16 +2,20 @@
 
 * Time: keep (i, t_i) pairs at the boundaries of maximal constant-interval
   runs (Table 2's ⟨(0, 5:03:25), (1, …), …, (6, …)⟩), 12 + 17 bits per pair.
-* Edge sequence: 32-bit start vertex + ⌈log₂(o+1)⌉ bits per entry
-  (0-entries included); the entry bits then go through the matrix
-  multiple-bases stage (`repro.ted.matrix`).
-* D: PDDP quantization, ⌈log₂ 1/η_D⌉ bits per value.
+* Edge sequence: 32-bit start vertex + ``be`` bits per entry (0-entries
+  included); the entry bits then go through the matrix multiple-bases stage
+  (`repro.ted.matrix`).
+* D: PDDP quantization, ``bd`` bits per value.
 * T′: raw bit-string (bitmap compression omitted → ratio 1).
-* p: PDDP quantization with η_p.
+* p: PDDP quantization, ``bp`` bits.
+
+The widths are UTCQ's :class:`repro.core.config.Widths`, so Table 8
+compares like with like.
 """
 from __future__ import annotations
 
-from repro.bits import BitWriter, bits_for_bound, bits_needed, quantize
+from repro.bits import BitReader, BitWriter, dequantize, quantize
+from repro.core.config import Widths
 from repro.core.model import TedTuple
 
 TED_IDX_BITS = 12  # "each trajectory contains at most 2^12 timestamps" (§4.4)
@@ -43,19 +47,6 @@ def ted_time_pairs(timestamps: list[int]) -> list[tuple[int, int]]:
     return pairs
 
 
-def ted_time_decode(pairs: list[tuple[int, int]]) -> list[int]:
-    """Inverse of :func:`ted_time_pairs` (lossless for TED's T)."""
-    if not pairs:
-        return []
-    out: list[int] = []
-    for (i, ti), (j, tj) in zip(pairs[:-1], pairs[1:]):
-        step = (tj - ti) // (j - i)
-        for k in range(i, j):
-            out.append(ti + (k - i) * step)
-    out.append(pairs[-1][1])
-    return out
-
-
 def e_bitstring(ted: TedTuple, be: int) -> str:
     """The binary code of E (entries only, SV excluded) as a '0'/'1' string
     — the rows of the multiple-bases matrices."""
@@ -69,51 +60,37 @@ def e_bitstring(ted: TedTuple, be: int) -> str:
     )
 
 
-def ted_instance_sizes(
-    ted: TedTuple, m: int, be: int, eta_d: float, eta_p: float
-) -> dict[str, int]:
+def ted_instance_sizes(ted: TedTuple, wd: Widths) -> dict[str, int]:
     """Per-instance compressed bit counts before the matrix stage."""
-    bd = bits_for_bound(eta_d)
-    bp = bits_for_bound(eta_p)
     return {
-        "E": 32 + be * len(ted.entries),
-        "D": bd * m,
+        "E": 32 + wd.be * len(ted.entries),
+        "D": wd.bd * wd.m,
         "Tp": len(ted.tflag),
-        "p": bp,
+        "p": wd.bp,
     }
 
 
-def encode_instance_payload(
-    ted: TedTuple, be: int, eta_d: float, eta_p: float
-) -> bytes:
+def encode_instance_payload(ted: TedTuple, wd: Widths) -> bytes:
     """Self-contained per-instance payload (used by the TED query baseline:
     full decompression is the only access path)."""
-    bd = bits_for_bound(eta_d)
-    bp = bits_for_bound(eta_p)
     w = BitWriter()
-    w.write_bits(quantize(ted.prob, bp), bp)
+    w.write_bits(quantize(ted.prob, wd.bp), wd.bp)
     w.write_bits(ted.sv, 32)
     w.write_bits(len(ted.entries), 16)
     for no in ted.entries:
-        w.write_bits(no, be)
+        w.write_bits(no, wd.be)
     w.write_bools(ted.tflag)
     for rd in ted.d:
-        w.write_bits(quantize(rd, bd), bd)
+        w.write_bits(quantize(rd, wd.bd), wd.bd)
     return w.to_bytes()
 
 
-def decode_instance_payload(
-    payload: bytes, m: int, be: int, eta_d: float, eta_p: float
-) -> TedTuple:
-    from repro.bits import BitReader, dequantize
-
-    bd = bits_for_bound(eta_d)
-    bp = bits_for_bound(eta_p)
+def decode_instance_payload(payload: bytes, wd: Widths) -> TedTuple:
     r = BitReader(payload)
-    prob = dequantize(r.read_bits(bp), bp)
+    prob = dequantize(r.read_bits(wd.bp), wd.bp)
     sv = r.read_bits(32)
     ne = r.read_bits(16)
-    entries = [r.read_bits(be) for _ in range(ne)]
+    entries = [r.read_bits(wd.be) for _ in range(ne)]
     tflag = r.read_bools(ne)
-    d = [dequantize(r.read_bits(bd), bd) for _ in range(m)]
+    d = [dequantize(r.read_bits(wd.bd), wd.bd) for _ in range(wd.m)]
     return TedTuple(sv, entries, tflag, d, prob)

@@ -17,8 +17,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.bits import bits_needed
-from repro.core.config import UTCQConfig
+from repro.core.config import UTCQConfig, Widths
 from repro.core.model import original_bits
 from repro.roadnet.graph import RoadNetwork
 from repro.ted.matrix import compress_group
@@ -52,10 +51,11 @@ def ted_compress_dataset(
     """Run both TED stages; returns per-instance rows with final sizes and
     the accounting columns of a UTCQ row (``comp_meta`` 0, ``compress_ms``),
     so that ``compress_job.ratio_summary`` reads either."""
-    be = bits_needed(net.max_out_degree + 1)
+    o = net.max_out_degree
+    be = Widths.of(0, cfg, o).be  # the edge-number width does not depend on m
 
     def stage1(pdf: pd.DataFrame) -> pd.DataFrame:
-        return _encode_group(pdf, be, cfg.eta_d, cfg.eta_p)
+        return _encode_group(pdf, cfg, o)
 
     def stage2(pdf: pd.DataFrame) -> pd.DataFrame:
         t0 = time.perf_counter()
@@ -91,20 +91,21 @@ def ted_compress_dataset(
 
 
 def _encode_group(
-    pdf: pd.DataFrame, be: int, eta_d: float, eta_p: float
+    pdf: pd.DataFrame, cfg: UTCQConfig, max_out_degree: int
 ) -> pd.DataFrame:
     traj = group_to_ted(pdf)
     # Like UTCQ's compress_ms, encode_ms leaves out reading the rows.
     t_start = time.perf_counter()
     m = traj.num_points
+    wd = Widths.of(m, cfg, max_out_degree)
     # TED compresses each instance as an independent accurate trajectory,
     # so every instance stores its own time pairs.
     comp_t = TED_PAIR_BITS * len(ted_time_pairs(traj.timestamps()))
 
     rows = []
     for inst_id, ted in enumerate(traj.teds):
-        sizes = ted_instance_sizes(ted, m, be, eta_d, eta_p)
-        code = e_bitstring(ted, be)
+        sizes = ted_instance_sizes(ted, wd)
+        code = e_bitstring(ted, wd.be)
         orig = original_bits(ted, m)
         rows.append(
             {

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bits import bits_needed
-from repro.core.config import UTCQConfig
+from repro.core.config import UTCQConfig, Widths
 from repro.core.model import (
     TedTrajectory,
     UncertainTrajectory,
@@ -37,7 +36,7 @@ class TedTrajBlob:
     ts: int
     deltas: list[int]
     payloads: list[bytes]  # per instance, inst_id order
-    m: int
+    wd: Widths
     regions: set[int]
     t_first: int
     t_last: int
@@ -48,6 +47,7 @@ def _traj_blob(
     grid: SpatialGrid,
     traj: TedTrajectory,
     payloads: list[bytes],
+    wd: Widths,
 ) -> TedTrajBlob:
     """A trajectory's payloads with its coarse spatial index: the regions
     touched by any instance (built during compression, as TED does for
@@ -59,8 +59,7 @@ def _traj_blob(
     }
     tss = traj.timestamps()
     return TedTrajBlob(
-        traj.t0, traj.ts, traj.deltas, payloads, traj.num_points,
-        regions, tss[0], tss[-1],
+        traj.t0, traj.ts, traj.deltas, payloads, wd, regions, tss[0], tss[-1],
     )
 
 
@@ -68,16 +67,12 @@ class TEDBaselineEngine:
     def __init__(
         self,
         net: RoadNetwork,
-        cfg: UTCQConfig,
         grid: SpatialGrid,
         blobs: dict[int, TedTrajBlob],
     ) -> None:
         self.net = net
-        self.cfg = cfg
         self.grid = grid
         self.blobs = blobs
-        self.be = bits_needed(net.max_out_degree + 1)
-        self.max_edge_len = max(net.lengths.values()) if net.lengths else 0.0
         self.region_index: dict[int, set[int]] = {}
         for tid, b in blobs.items():
             for region in b.regions:
@@ -89,27 +84,19 @@ class TEDBaselineEngine:
     ) -> "TEDBaselineEngine":
         """Driver-side construction (encode without Spark) — used by the
         query tests and the latency benchmarks."""
-        be = bits_needed(net.max_out_degree + 1)
         blobs: dict[int, TedTrajBlob] = {}
         for t in trajs:
             traj = t.to_ted(net)
-            payloads = [
-                encode_instance_payload(ted, be, cfg.eta_d, cfg.eta_p)
-                for ted in traj.teds
-            ]
-            blobs[t.traj_id] = _traj_blob(net, grid, traj, payloads)
-        return cls(net, cfg, grid, blobs)
+            wd = Widths.of(traj.num_points, cfg, net.max_out_degree)
+            payloads = [encode_instance_payload(ted, wd) for ted in traj.teds]
+            blobs[t.traj_id] = _traj_blob(net, grid, traj, payloads, wd)
+        return cls(net, grid, blobs)
 
     # -- full decompression of one trajectory ------------------------------
     def decompress(self, traj_id: int) -> UncertainTrajectory:
         b = self.blobs[traj_id]
         insts = [
-            ted_to_instance(
-                self.net,
-                decode_instance_payload(
-                    p, b.m, self.be, self.cfg.eta_d, self.cfg.eta_p
-                ),
-            )
+            ted_to_instance(self.net, decode_instance_payload(p, b.wd))
             for p in b.payloads
         ]
         return UncertainTrajectory(traj_id, b.t0, b.deltas, b.ts, insts)
@@ -132,7 +119,7 @@ class TEDBaselineEngine:
         return when_query_ref(self.net, traj, edge, rd, alpha)
 
     def range(self, rect: Rect, tq: int, alpha: float) -> list[int]:
-        cells = self.grid.cells_near(rect, self.max_edge_len)
+        cells = self.grid.cells_near(rect, self.net.max_edge_length)
         cands: set[int] = set()
         for c in cells:
             cands |= self.region_index.get(c, set())

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.bits import BitReader, decode_delta
-from repro.core.config import UTCQConfig
+from repro.core.config import UTCQConfig, Widths
 from repro.core.decoder import decode_instance_partial, decode_trajectory
 from repro.core.encoder import compress_trajectory, encode_trajectory
 from repro.core.model import (
@@ -74,8 +74,14 @@ class TestRoundTrip:
 
 
 class TestSizeAccounting:
+    def test_widths(self, ct, net):
+        # §4.4 on Fig. 2: o = 4 (edge numbers 0..4 with the extra-point 0s),
+        # η_D = 1/128, η_p = 1/512 and m = 7 sample points.
+        wd = Widths.of(ct.m, CFG, net.max_out_degree)
+        assert wd == Widths(m=7, be=3, bd=7, bp=9, bm=3)
+
     def test_blob_length_matches_components(self, ct):
-        assert ct.nbits == ct.total_comp_bits
+        assert ct.nbits == sum(ct.comp_bits.values())
         assert len(ct.blob) == (ct.nbits + 7) // 8
 
     def test_orig_bits(self, ct, traj, net):
@@ -89,7 +95,7 @@ class TestSizeAccounting:
         assert ct.orig_bits["p"] == 64 * 3
 
     def test_compresses(self, ct):
-        assert ct.total_comp_bits < ct.total_orig_bits
+        assert sum(ct.comp_bits.values()) < sum(ct.orig_bits.values())
 
     def test_t_compression_matches_paper_arithmetic(self, ct):
         # §4.4: deltas ⟨0,1,0,−1,0,0⟩ cost 12 bits, t0 costs 17; the

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bits import (
-    BitReader,
-    BitWriter,
-    decode_delta_stream,
-    delta_code_len,
-    encode_delta,
-    encode_delta_stream,
-)
+from repro.bits import BitReader, BitWriter, decode_delta, delta_code_len, encode_delta
+
+
+def encode_delta_stream(w: BitWriter, deltas) -> None:
+    for d in deltas:
+        encode_delta(w, d)
+
+
+def decode_delta_stream(r: BitReader, n: int) -> list[int]:
+    return [decode_delta(r) for _ in range(n)]
 
 
 def bitstring(deltas) -> str:
@@ -75,7 +77,8 @@ class TestRoundtrip:
         encode_delta(w, delta)
         r = BitReader(w.to_bytes(), len(w))
         assert decode_delta_stream(r, 1) == [delta]
-        assert r.remaining == 0
+        with pytest.raises(EOFError):
+            r.read_bit()
 
     @given(st.lists(st.integers(min_value=-(2**15), max_value=2**15), max_size=100))
     def test_property_stream(self, deltas):
@@ -83,7 +86,8 @@ class TestRoundtrip:
         encode_delta_stream(w, deltas)
         r = BitReader(w.to_bytes(), len(w))
         assert decode_delta_stream(r, len(deltas)) == deltas
-        assert r.remaining == 0
+        with pytest.raises(EOFError):
+            r.read_bit()
 
     def test_decode_from_offset(self):
         """StIU t.pos semantics: decoding may start mid-stream."""

@@ -80,13 +80,6 @@ class TestAlgorithmProperties:
         asg = select_references(sm)
         assert asg.refs == {0: [1], 2: [3]}
 
-    def test_reference_of(self):
-        asg = ReferenceAssignment({0: [1, 2], 3: []})
-        assert asg.reference_of(1) == 0
-        assert asg.reference_of(0) == 0
-        assert asg.reference_of(3) == 3
-        assert asg.reference_of(9) is None
-
     def test_validate_rejects_double_assignment(self):
         with pytest.raises(ValueError):
             ReferenceAssignment({0: [1], 2: [1]}).validate(3)

@@ -27,8 +27,8 @@ class TestTable6:
     def test_matches_network(self, spark):
         net = grid_network("test")
         s = table6_stats(spark, net)
-        assert s["n_vertices"] == net.num_vertices
-        assert s["n_edges"] == net.num_edges
+        assert s["n_vertices"] == len(net.coords)
+        assert s["n_edges"] == len(net.lengths)
         assert s["max_out_degree"] == net.max_out_degree
         assert s["avg_out_degree"] == pytest.approx(net.avg_out_degree())
 

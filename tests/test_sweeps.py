@@ -18,8 +18,8 @@ def total_ratio(net, trajs, cfg):
     o = c = 0
     for t in trajs:
         ct = compress_trajectory(net, t, cfg)
-        o += ct.total_orig_bits
-        c += ct.total_comp_bits
+        o += sum(ct.orig_bits.values())
+        c += sum(ct.comp_bits.values())
     return o / c
 
 

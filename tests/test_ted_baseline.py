@@ -1,9 +1,8 @@
 """TED baseline tests: Table 2 time pairs, matrix stage, Spark job."""
 import pytest
 
-from repro.bits import bits_needed
 from repro.core.compress_job import ratio_summary
-from repro.core.config import DATASET_CONFIGS
+from repro.core.config import DATASET_CONFIGS, Widths
 from repro.core.encoder import compress_trajectory
 from repro.core.model import instance_to_ted
 from repro.examples.fig2 import fig2_network, fig2_trajectory
@@ -15,7 +14,6 @@ from repro.ted.ted_encode import (
     decode_instance_payload,
     e_bitstring,
     encode_instance_payload,
-    ted_time_decode,
     ted_time_pairs,
 )
 from repro.ted.ted_job import ted_compress_dataset
@@ -27,6 +25,18 @@ from repro.trajgen.spark_io import (
 )
 
 CFG = DATASET_CONFIGS["test"]
+
+
+def ted_time_decode(pairs: list[tuple[int, int]]) -> list[int]:
+    """Inverse of ``ted_time_pairs``: TED's T is lossless."""
+    if not pairs:
+        return []
+    out: list[int] = []
+    for (i, ti), (j, tj) in zip(pairs[:-1], pairs[1:]):
+        step = (tj - ti) // (j - i)
+        out.extend(ti + (k - i) * step for k in range(i, j))
+    out.append(pairs[-1][1])
+    return out
 
 
 class TestTimePairs:
@@ -69,7 +79,7 @@ class TestEBitstring:
     def test_fig2_codes(self):
         net = fig2_network()
         ted = instance_to_ted(net, fig2_trajectory().instances[0])
-        be = bits_needed(net.max_out_degree + 1)
+        be = Widths.of(len(ted.d), CFG, net.max_out_degree).be
         code = e_bitstring(ted, be)
         assert len(code) == be * len(ted.entries)
         assert set(code) <= {"0", "1"}
@@ -141,13 +151,10 @@ class TestPayload:
     def test_roundtrip(self):
         net = fig2_network()
         traj = fig2_trajectory()
-        be = bits_needed(net.max_out_degree + 1)
+        wd = Widths.of(traj.num_points, CFG, net.max_out_degree)
         for inst in traj.instances:
             ted = instance_to_ted(net, inst)
-            payload = encode_instance_payload(ted, be, CFG.eta_d, CFG.eta_p)
-            back = decode_instance_payload(
-                payload, traj.num_points, be, CFG.eta_d, CFG.eta_p
-            )
+            back = decode_instance_payload(encode_instance_payload(ted, wd), wd)
             assert back.sv == ted.sv
             assert back.entries == ted.entries
             assert back.tflag == ted.tflag
