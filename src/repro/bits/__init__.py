@@ -1,7 +1,7 @@
 """Bit-level codec substrate: bit IO, improved Exp-Golomb, PDDP quantization."""
 
 from repro.bits.bitio import BitReader, BitWriter, bits_needed
-from repro.bits.expgolomb import decode_delta, delta_code_len, encode_delta
+from repro.bits.expgolomb import decode_delta, encode_delta
 from repro.bits.pddp import bits_for_bound, dequantize, quantize
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "bits_needed",
     "encode_delta",
     "decode_delta",
-    "delta_code_len",
     "bits_for_bound",
     "quantize",
     "dequantize",

@@ -22,12 +22,6 @@ def _group(delta: int) -> int:
     return (abs(delta) + 1).bit_length() - 1
 
 
-def delta_code_len(delta: int) -> int:
-    """Length in bits of the codeword for ``delta``."""
-    j = _group(delta)
-    return j + 1 if j == 0 else 2 * j + 2
-
-
 def encode_delta(w: BitWriter, delta: int) -> None:
     j = _group(delta)
     for _ in range(j):

@@ -37,6 +37,10 @@ class UTCQConfig:
             raise ValueError("need at least one pivot")
         if self.time_partition_min < 1:
             raise ValueError("bad time partition")
+        if self.grid_n < 1:
+            raise ValueError("need at least one grid cell per axis")
+        bits_for_bound(self.eta_d)  # raises unless η_D ∈ (0, 1)
+        bits_for_bound(self.eta_p)
 
 
 class Widths(NamedTuple):

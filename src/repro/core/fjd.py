@@ -33,7 +33,7 @@ def sim(
         if f is None:
             continue
         ov = _overlap(f, factor_v)
-        if ov > best_ov or (ov == best_ov and ov > 0 and (best_l == 0 or f[1] < best_l)):
+        if ov > best_ov or (ov == best_ov and ov > 0 and f[1] < best_l):
             best_ov, best_l = ov, f[1]
     if best_ov == 0:
         return 0.0

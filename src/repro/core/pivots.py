@@ -32,12 +32,12 @@ def com_sl(pivot: list[int], target: list[int]) -> list[tuple[int, int] | None]:
 
 
 def select_pivots(
-    e_seqs: list[list[int]], n_pivots: int, first: int = 0
+    e_seqs: list[list[int]], n_pivots: int
 ) -> tuple[list[int], list[list[list[tuple[int, int] | None]]]]:
     """Greedy pivot selection (§4.3).
 
     i) represent all instances against an arbitrary first instance
-    (``first``, deterministic here); ii) the instance with the most factors
+    (instance 0, deterministic here); ii) the instance with the most factors
     becomes a pivot; iii) re-represent everything against the newest pivot;
     iv) repeat until ``n_pivots`` pivots are chosen.
 
@@ -49,8 +49,8 @@ def select_pivots(
     if n == 0:
         return [], []
     n_pivots = max(1, min(n_pivots, n))
-    # Probe round (step i): factorize everything against instance ``first``.
-    rep = [com_sl(e_seqs[first], e) for e in e_seqs]
+    # Probe round (step i): factorize everything against instance 0.
+    rep = [com_sl(e_seqs[0], e) for e in e_seqs]
     pivots: list[int] = []
     coms: list[list[list[tuple[int, int] | None]]] = []
     for _ in range(n_pivots):

@@ -4,7 +4,8 @@ Repeatedly picks the highest-scoring (reference, non-reference) pair from
 the score matrix, enforcing the two constraints: each non-reference has
 exactly one reference, and compression is single-order (a non-reference can
 never itself become a reference).  Instances left unassigned become
-standalone references with an empty representation set.
+standalone references with an empty representation set.  The picks come
+from one pass over the positive scores in (−score, w, v) order: O(n² log n).
 """
 from __future__ import annotations
 
@@ -41,34 +42,26 @@ class ReferenceAssignment:
 
 
 def select_references(sm: list[list[float]]) -> ReferenceAssignment:
-    """Algorithm 1 on the score matrix ``sm`` (SM[w][v] = SF(Tu_w, Tu_v))."""
+    """Algorithm 1 on the score matrix ``sm`` (SM[w][v] = SF(Tu_w, Tu_v)).
+
+    Entries only ever leave SM, so the largest live entry, ties broken
+    row-major, is the first live one in (−score, w, v) order.
+    """
     n = len(sm)
     out = ReferenceAssignment()
-    # ``alive[w][v]`` mirrors "SM[w][v] ∈ SM"; diagonal entries stand for
-    # the not-yet-assigned markers checked at lines 11–13.
-    alive = [[True] * n for _ in range(n)]
-    while True:
-        best, bw, bv = 0.0, -1, -1
-        for w in range(n):
-            for v in range(n):
-                if alive[w][v] and w != v and sm[w][v] > best:
-                    best, bw, bv = sm[w][v], w, v
-        if bw < 0:  # SM exhausted or current maximum is 0
-            break
-        if bw not in out.refs:
-            out.refs[bw] = []
-            # line 7: remove SM[v'][w] — w can no longer be a non-reference
-            for vp in range(n):
-                alive[vp][bw] = False
-        out.refs[bw].append(bv)
-        # line 9: remove SM[w'][v] and SM[v][w''] — v has its reference and
-        # can never become a reference (single-order compression).
-        for wp in range(n):
-            alive[wp][bv] = False
-            alive[bv][wp] = False
+    nonrefs: set[int] = set()
+    ranked = sorted(
+        (-s, w, v) for w, row in enumerate(sm) for v, s in enumerate(row) if s > 0 and w != v
+    )
+    for _, w, v in ranked:
+        # lines 7 and 9: SM[w][v] left SM once w or v became a non-reference
+        # or v became a reference.
+        if w not in nonrefs and v not in nonrefs and v not in out.refs:
+            out.refs.setdefault(w, []).append(v)
+            nonrefs.add(v)
     # lines 11–13: leftover instances become standalone references.
     for w in range(n):
-        if alive[w][w] and w not in out.refs:
+        if w not in nonrefs and w not in out.refs:
             out.refs[w] = []
     out.validate(n)
     return out

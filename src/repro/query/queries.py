@@ -211,10 +211,11 @@ class UTCQEngine:
         alpha: float,
         use_pruning: bool = True,
     ) -> list[int]:
+        """``use_pruning=False`` turns Lemmas 2 and 4 off; answers are equal."""
         cand = self.range_candidates(rect, tq, alpha if use_pruning else 0.0)
         out = []
         for traj_id, inst_ids in sorted(cand.items()):
-            if self.refine_range(traj_id, inst_ids, rect, tq, alpha):
+            if self.refine_range(traj_id, inst_ids, rect, tq, alpha, use_pruning):
                 out.append(traj_id)
         return out
 

@@ -3,12 +3,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bits import BitReader, BitWriter, decode_delta, delta_code_len, encode_delta
+from repro.bits import BitReader, BitWriter, decode_delta, encode_delta
 
 
 def encode_delta_stream(w: BitWriter, deltas) -> None:
     for d in deltas:
         encode_delta(w, d)
+
+
+def delta_code_len(delta: int) -> int:
+    """Length in bits of the codeword ``encode_delta`` writes for ``delta``."""
+    w = BitWriter()
+    encode_delta(w, delta)
+    return len(w)
 
 
 def decode_delta_stream(r: BitReader, n: int) -> list[int]:

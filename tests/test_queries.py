@@ -185,6 +185,7 @@ class TestEquivalenceWithReference:
         assert checked >= 60
 
     def test_range_pruning_equivalence(self, setup):
+        """Lemmas 2 and 4 on against off give the same answers."""
         net, trajs, eng, decoded = setup
         rect = Rect(100, 100, 500, 500)
         for tq in [t.t0 + 40 for t in trajs[:8]]:

@@ -1,5 +1,7 @@
 """Algorithm 1 (greedy reference selection) tests — Example 2 outcome."""
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.fjd import score_matrix
 from repro.core.model import instance_to_ted
@@ -99,3 +101,52 @@ class TestAlgorithmProperties:
             ]
             asg = select_references(sm)
             asg.validate(n)
+
+
+def rescan_select_references(sm: list[list[float]]) -> dict[int, list[int]]:
+    """Oracle: Algorithm 1 as a full rescan of SM per pick, O(n³).
+
+    Each pick takes the strict-``>`` row-major maximum of the live entries;
+    ``alive[w][v]`` mirrors "SM[w][v] ∈ SM" and the diagonal entries stand
+    for the not-yet-assigned markers checked at lines 11–13.
+    """
+    n = len(sm)
+    refs: dict[int, list[int]] = {}
+    alive = [[True] * n for _ in range(n)]
+    while True:
+        best, bw, bv = 0.0, -1, -1
+        for w in range(n):
+            for v in range(n):
+                if alive[w][v] and w != v and sm[w][v] > best:
+                    best, bw, bv = sm[w][v], w, v
+        if bw < 0:  # SM exhausted or current maximum is 0
+            break
+        if bw not in refs:
+            refs[bw] = []
+            # line 7: remove SM[v'][w] — w can no longer be a non-reference
+            for vp in range(n):
+                alive[vp][bw] = False
+        refs[bw].append(bv)
+        # line 9: remove SM[w'][v] and SM[v][w''] — v has its reference and
+        # can never become a reference (single-order compression).
+        for wp in range(n):
+            alive[wp][bv] = False
+            alive[bv][wp] = False
+    for w in range(n):
+        if alive[w][w] and w not in refs:
+            refs[w] = []
+    return refs
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    n = draw(st.integers(1, 30))
+    scores = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    return [[0.0 if w == v else draw(scores) for v in range(n)] for w in range(n)]
+
+
+@given(tie_heavy_matrices())
+def test_matches_rescan_oracle(sm):
+    """The one-sort pass makes the rescan's picks: the same references, and
+    each Rrs in pick order (the encoder writes non-references in that order)."""
+    assert select_references(sm).refs == rescan_select_references(sm)

@@ -43,6 +43,12 @@ class TestTable7Ranges:
             UTCQConfig(n_pivots=0)
         with pytest.raises(ValueError):
             UTCQConfig(time_partition_min=0)
+        with pytest.raises(ValueError):
+            UTCQConfig(eta_d=0.0)
+        with pytest.raises(ValueError):
+            UTCQConfig(eta_p=1.0)
+        with pytest.raises(ValueError):
+            UTCQConfig(grid_n=0)
 
 
 class TestPivotSweep:
