@@ -1,6 +1,8 @@
 """Append-only bit writer and random-access bit reader.
 
 All UTCQ / TED binary payloads are packed MSB-first into a ``bytearray``.
+A multi-bit field is written and read a whole byte run at a time (one
+``int.to_bytes`` / ``int.from_bytes``), not bit by bit.
 ``BitReader`` supports seeking to an arbitrary bit offset, which is what the
 StIU index tuples point at (``t.pos``, ``d.pos``, ``ma.pos``) to enable
 partial decompression.
@@ -43,8 +45,14 @@ class BitWriter:
             raise ValueError("negative width")
         if value < 0 or (width < value.bit_length()):
             raise ValueError(f"value {value} does not fit in {width} bits")
-        for i in range(width - 1, -1, -1):
-            self.write_bit((value >> i) & 1)
+        # Re-emit the open last byte's bits, then ``value``, then zero
+        # padding to the next byte boundary, as one big-endian integer.
+        used = self._nbits % 8
+        head = self._buf.pop() >> (8 - used) if used else 0
+        pad = -(used + width) % 8
+        n = (used + width + pad) // 8
+        self._buf += ((head << (width + pad)) | (value << pad)).to_bytes(n, "big")
+        self._nbits += width
 
     def write_bools(self, bits) -> None:
         """Write an iterable of 0/1 flags, one bit each."""
@@ -61,6 +69,8 @@ class BitReader:
     def __init__(self, data: bytes, nbits: int | None = None) -> None:
         self._data = data
         self._nbits = len(data) * 8 if nbits is None else nbits
+        if not 0 <= self._nbits <= len(data) * 8:
+            raise ValueError(f"{self._nbits} bits do not fit in {len(data)} bytes")
         self._pos = 0
 
     def seek(self, bitpos: int) -> None:
@@ -77,10 +87,15 @@ class BitReader:
         return bit
 
     def read_bits(self, width: int) -> int:
-        v = 0
-        for _ in range(width):
-            v = (v << 1) | self.read_bit()
-        return v
+        """Read a ``width``-bit big-endian unsigned integer."""
+        end = self._pos + width
+        if end > self._nbits:
+            raise EOFError("bit stream exhausted")
+        last = (end + 7) >> 3
+        chunk = int.from_bytes(self._data[self._pos >> 3:last], "big")
+        value = (chunk >> ((last << 3) - end)) & ((1 << width) - 1)
+        self._pos = end
+        return value
 
     def read_bools(self, n: int) -> list[int]:
         return [self.read_bit() for _ in range(n)]

@@ -88,6 +88,10 @@ class TestBitReader:
         r.seek(0)
         assert r.read_bits(2) == 0b11
 
+    def test_nbits_beyond_data_rejected(self):
+        with pytest.raises(ValueError):
+            BitReader(b"\x00", 9)
+
     def test_seek_out_of_range(self):
         r = BitReader(b"\x00", 8)
         with pytest.raises(ValueError):
@@ -115,3 +119,70 @@ class TestBitReader:
         r = BitReader(w.to_bytes(), len(w))
         for (v,) in vals:
             assert r.read_bits(20) == v
+
+
+def _pack(bits: list[int]) -> bytes:
+    """Per-bit reference packing, MSB first, zero-padded to a byte."""
+    out = bytearray((len(bits) + 7) // 8)
+    for i, b in enumerate(bits):
+        out[i >> 3] |= b << (7 - (i & 7))
+    return bytes(out)
+
+
+def _to_bits(value: int, width: int) -> list[int]:
+    return [(value >> i) & 1 for i in range(width - 1, -1, -1)]
+
+
+_field = st.integers(0, 64).flatmap(
+    lambda w: st.tuples(st.integers(0, 2**w - 1), st.just(w), st.booleans())
+)
+
+
+@given(st.lists(_field, max_size=40))
+def test_write_bits_matches_per_bit_reference(fields):
+    """Fields of 0–64 bits, each after an optional single ``write_bit``,
+    so that they start at every bit offset."""
+    w = BitWriter()
+    bits: list[int] = []
+    for value, width, lead in fields:
+        if lead:
+            w.write_bit(value & 1)
+            bits.append(value & 1)
+        w.write_bits(value, width)
+        bits += _to_bits(value, width)
+        with pytest.raises(ValueError):
+            w.write_bits(2**width, width)
+    assert len(w) == len(bits)
+    assert w.to_bytes() == _pack(bits)
+
+
+@given(st.data())
+def test_read_bits_matches_per_bit_reference(data):
+    """``read_bits`` of 0–64 bits mixed with ``read_bit`` and ``seek``;
+    a read past ``nbits`` raises ``EOFError``."""
+    bits = data.draw(st.lists(st.integers(0, 1), max_size=300))
+    nbits = data.draw(st.integers(max(0, len(bits) - 7), len(bits)))
+    r = BitReader(_pack(bits), nbits)
+    pos = 0
+    for _ in range(data.draw(st.integers(0, 30))):
+        op = data.draw(st.sampled_from(("bits", "bit", "seek")))
+        if op == "seek":
+            pos = data.draw(st.integers(0, nbits))
+            r.seek(pos)
+        elif op == "bit":
+            if pos == nbits:
+                with pytest.raises(EOFError):
+                    r.read_bit()
+            else:
+                assert r.read_bit() == bits[pos]
+                pos += 1
+        else:
+            width = data.draw(st.integers(0, 64))
+            if pos + width > nbits:
+                with pytest.raises(EOFError):
+                    r.read_bits(width)
+                r.seek(pos)
+            else:
+                want = int("".join(map(str, bits[pos:pos + width])) or "0", 2)
+                assert r.read_bits(width) == want
+                pos += width

@@ -1,5 +1,7 @@
 """Pivot representation + FJD tests — §4.3 examples, Example 1 verbatim."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fjd import fjd, score_matrix, sim
 from repro.core.model import instance_to_ted
@@ -52,10 +54,13 @@ class TestExample1:
         assert fjd(com_w, com_v) == pytest.approx(1 / 2)
 
     def test_fjd_not_symmetric_in_general(self, teds):
+        # Reversed, sim((0,8)) = 6/8 and sim((5,1)) = 1 (the L = 1 factor
+        # wins the tie at overlap 1), so FJD(Tu¹₂ → Tu¹₁) = 1.75/4 = 7/16.
         piv = teds[2].entries
         com_w = com_sl(piv, teds[0].entries)
         com_v = com_sl(piv, teds[1].entries)
-        assert fjd(com_w, com_v) != fjd(com_v, com_w) or True  # may differ
+        assert fjd(com_w, com_v) == 1 / 2
+        assert fjd(com_v, com_w) == 7 / 16
 
     def test_fjd_bounds(self, teds):
         piv = teds[2].entries
@@ -104,6 +109,44 @@ class TestScoreMatrix:
         for w in range(3):
             for v in range(3):
                 assert sm_multi[w][v] == pytest.approx(max(sm_a[w][v], sm_b[w][v]))
+
+
+def _oracle(probs, svs, coms):
+    """SM from the scalar Eq. 1–2, one pair at a time."""
+    n = len(probs)
+    return [
+        [
+            probs[w] * max(fjd(c[w], c[v]) for c in coms)
+            if w != v and svs[w] == svs[v] else 0.0
+            for v in range(n)
+        ]
+        for w in range(n)
+    ]
+
+
+# Small S/L ranges so that overlaps tie between factors of different L;
+# None is an omitted factor, an empty list a representation with h = 0, and
+# up to 12 factors so that the sum runs over more than 8 columns.
+_factor = st.none() | st.tuples(st.integers(0, 6), st.integers(1, 4))
+
+
+@st.composite
+def _sm_inputs(draw):
+    n = draw(st.integers(1, 25))
+    n_piv = draw(st.integers(1, 3))
+    coms = [
+        [draw(st.lists(_factor, max_size=12)) for _ in range(n)]
+        for _ in range(n_piv)
+    ]
+    svs = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return probs, svs, coms
+
+
+@settings(deadline=None)
+@given(_sm_inputs())
+def test_score_matrix_equals_scalar_oracle(args):
+    assert score_matrix(*args) == _oracle(*args)
 
 
 class TestSelectPivots:
