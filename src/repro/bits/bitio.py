@@ -4,8 +4,8 @@ All UTCQ / TED binary payloads are packed MSB-first into a ``bytearray``.
 A multi-bit field is written and read a whole byte run at a time (one
 ``int.to_bytes`` / ``int.from_bytes``), not bit by bit.
 ``BitReader`` supports seeking to an arbitrary bit offset, which is what the
-StIU index tuples point at (``t.pos``, ``d.pos``, ``ma.pos``) to enable
-partial decompression.
+StIU temporal tuples (``t_pos``) and the per-instance ``start``/``d_start``
+offsets point at to enable partial decompression.
 """
 from __future__ import annotations
 

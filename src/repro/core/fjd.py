@@ -34,7 +34,8 @@ def sim(
     ``L^{iw}_max`` is the length of the w-factor attaining the maximal
     overlap (minimum length among ties, per the paper); omitted factors
     (``None``) contribute nothing.  This scalar form is the statement of
-    Eq. 2 that ``score_matrix`` must reproduce exactly.
+    Eq. 2 that ``score_matrix`` must reproduce exactly; the tests use it as
+    the oracle.
     """
     if factor_v is None:
         return 0.0
@@ -84,11 +85,9 @@ def _padded(com: list[list[SLFactor]]):
 def _fjd_matrix(com: list[list[SLFactor]]) -> np.ndarray:
     """FJD(w → v, piv) for every (w, v) pair of one pivot's representations.
 
-    Eq. 2 runs one v-factor column ``j`` at a time: the overlap of every
-    w-factor with v's factor ``j`` is one (w, v, w-factor) broadcast
-    (n²·F int64 values per temporary).  Eq. 1's sum adds column ``j``'s sims
-    into ``total`` in column order, the order ``fjd`` adds them in, so the
-    floats round the same way.
+    Eq. 2 runs one v-factor column ``j`` at a time, and column ``j``'s sims
+    go into ``total`` in column order, the order ``fjd`` adds them in, so
+    the floats round the same way.
     """
     S, L, ok, h = _padded(com)
     n, width = S.shape
